@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit sequence terms for an index range")
-    gen.add_argument("kind", help="sequence name (B b C c P Bs Bss Cs Css bs bss cs css)")
+    gen.add_argument("kind", help=f"sequence name ({' '.join(KIND_BY_NAME)})")
     gen.add_argument("start", type=int)
     gen.add_argument("stop", type=int)
     gen.add_argument("--format", choices=_FORMATS, default=_default_format())
@@ -148,7 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # print values of any size in full; CPython before 3.10.7 has no limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return args.fn(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.fn(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

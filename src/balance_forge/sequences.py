@@ -75,6 +75,9 @@ _RECURRENCES = {
     SequenceKind.P: ((0, 1), 2, 1, 0),
 }
 
+# the core kinds, each with a recurrence and a closed form
+CORE_KINDS = tuple(_RECURRENCES)
+
 _cache: dict[SequenceKind, list[int]] = {
     kind: list(rec[0]) for kind, rec in _RECURRENCES.items()
 }
@@ -160,50 +163,30 @@ def term_binet(kind: SequenceKind, n: int) -> int:
     raise ValueError("no closed form")
 
 
-# radicand coefficients (s, t) of 8x^2 + 8sx + t for the square criterion
-_RADICAND = {
-    SequenceKind.B: (0, 1),
-    SequenceKind.b: (1, 1),
-    SequenceKind.Bstar: (0, 9),
-    SequenceKind.Bstarstar: (0, -7),
-    SequenceKind.bstar: (1, 9),
-    SequenceKind.bstarstar: (1, -7),
+# member kind -> ((s, t) of the radicand 8x^2 + 8sx + t, witness, balancer)
+_MEMBERSHIP = {
+    SequenceKind.B: ((0, 1), SequenceKind.C, BalancerKind.R),
+    SequenceKind.b: ((1, 1), SequenceKind.c, BalancerKind.r),
+    SequenceKind.Bstar: ((0, 9), SequenceKind.Cstar, BalancerKind.Rstar),
+    SequenceKind.Bstarstar: ((0, -7), SequenceKind.Cstarstar, BalancerKind.Rstarstar),
+    SequenceKind.bstar: ((1, 9), SequenceKind.cstar, BalancerKind.rstar),
+    SequenceKind.bstarstar: ((1, -7), SequenceKind.cstarstar, BalancerKind.rstarstar),
 }
 
-_BALANCER_RADICAND = {
-    BalancerKind.R: (0, 1),
-    BalancerKind.r: (1, 1),
-    BalancerKind.Rstar: (0, 9),
-    BalancerKind.Rstarstar: (0, -7),
-    BalancerKind.rstar: (1, 9),
-    BalancerKind.rstarstar: (1, -7),
-}
-
-WITNESS_KIND = {
-    SequenceKind.B: SequenceKind.C,
-    SequenceKind.b: SequenceKind.c,
-    SequenceKind.Bstar: SequenceKind.Cstar,
-    SequenceKind.Bstarstar: SequenceKind.Cstarstar,
-    SequenceKind.bstar: SequenceKind.cstar,
-    SequenceKind.bstarstar: SequenceKind.cstarstar,
-}
-
-MEMBERSHIP_KINDS = tuple(_RADICAND)
-
-
-def _radicand(coeffs: tuple[int, int], x: int) -> int:
-    s, t = coeffs
-    return 8 * x * x + 8 * s * x + t
+WITNESS_KIND = {kind: witness for kind, (_, witness, _) in _MEMBERSHIP.items()}
+MEMBERSHIP_KINDS = tuple(_MEMBERSHIP)
+_MEMBER_OF_BALANCER = {bal: kind for kind, (_, _, bal) in _MEMBERSHIP.items()}
 
 
 def is_member(kind: SequenceKind, x: int) -> tuple[bool, int | None]:
     """Square-criterion membership test with the witness root."""
     if x < 0:
         raise ValueError("negative value")
-    coeffs = _RADICAND.get(kind)
-    if coeffs is None:
+    row = _MEMBERSHIP.get(kind)
+    if row is None:
         raise ValueError("no membership criterion")
-    rad = _radicand(coeffs, x)
+    s, t = row[0]
+    rad = 8 * x * x + 8 * s * x + t
     if rad < 0:
         return False, None
     return is_perfect_square(rad)
@@ -211,10 +194,7 @@ def is_member(kind: SequenceKind, x: int) -> tuple[bool, int | None]:
 
 def balancer(kind: BalancerKind, n: int) -> int:
     """The gap length ``r`` for a member ``n``: ``(-2n - 1 + root) / 2``."""
-    rad = _radicand(_BALANCER_RADICAND[kind], n)
-    if rad < 0:
-        raise ValueError("not a member")
-    ok, root = is_perfect_square(rad)
+    ok, root = is_member(_MEMBER_OF_BALANCER[kind], n)
     if not ok:
         raise ValueError("not a member")
     num = -2 * n - 1 + root

@@ -3,7 +3,8 @@
 Every identity is evaluated in exact integer arithmetic for each index in
 range, on two computation routes (recurrence generation and the
 closed-form route for the core families); a division that is not exact is
-a counterexample, not a crash.
+a counterexample, not a crash.  Identities read the families through
+``SequenceValues`` accessors named by the CLI names (``S.B``, ``S.Bss``, ...).
 
 Identity groups and entry counts (the auditable catalog):
 
@@ -31,21 +32,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .pellsolver import QuadraticForm, solutions
 from .quadarith import is_perfect_square
-from .sequences import BalancerKind, SequenceKind, balancer, term, term_binet
-
-_BINET_KINDS = frozenset(
-    {SequenceKind.B, SequenceKind.b, SequenceKind.C, SequenceKind.c, SequenceKind.P}
-)
+from .sequences import CORE_KINDS, BalancerKind, SequenceKind, balancer, term, term_binet
 
 
 class SequenceValues:
     """Sequence accessor the catalog evaluates through.
 
-    ``route`` selects how the core families are computed; ``overrides``
-    maps ``(kind, index)`` to an additive fault, used by sensitivity tests.
+    One accessor per family, named by its CLI name (``S.B(n)``, ``S.Bss(n)``),
+    bound at construction.  ``route`` selects how the core families are
+    computed; ``overrides`` maps ``(kind, index)`` to an additive fault, used
+    by sensitivity tests.
     """
 
     def __init__(self, route: str = "recurrence", overrides=None):
@@ -53,52 +53,22 @@ class SequenceValues:
             raise ValueError("unknown route")
         self.route = route
         self.overrides = dict(overrides or {})
+        for kind in SequenceKind:
+            setattr(self, kind.value, self._accessor(kind))
+
+    def _accessor(self, kind: SequenceKind):
+        if self.route == "binet" and kind in CORE_KINDS:
+            def exact(n):
+                return term_binet(kind, n) if n >= 1 else term(kind, n)
+        else:
+            exact = partial(term, kind)
+        faults = {n: d for (k, n), d in self.overrides.items() if k is kind}
+        if not faults:
+            return exact
+        return lambda n: exact(n) + faults.get(n, 0)
 
     def value(self, kind: SequenceKind, n: int) -> int:
-        if self.route == "binet" and kind in _BINET_KINDS and n >= 1:
-            v = term_binet(kind, n)
-        else:
-            v = term(kind, n)
-        return v + self.overrides.get((kind, n), 0)
-
-    def B(self, n):
-        return self.value(SequenceKind.B, n)
-
-    def b(self, n):
-        return self.value(SequenceKind.b, n)
-
-    def C(self, n):
-        return self.value(SequenceKind.C, n)
-
-    def c(self, n):
-        return self.value(SequenceKind.c, n)
-
-    def P(self, n):
-        return self.value(SequenceKind.P, n)
-
-    def Bs(self, n):
-        return self.value(SequenceKind.Bstar, n)
-
-    def Cs(self, n):
-        return self.value(SequenceKind.Cstar, n)
-
-    def Bss(self, n):
-        return self.value(SequenceKind.Bstarstar, n)
-
-    def Css(self, n):
-        return self.value(SequenceKind.Cstarstar, n)
-
-    def bs(self, n):
-        return self.value(SequenceKind.bstar, n)
-
-    def cs(self, n):
-        return self.value(SequenceKind.cstar, n)
-
-    def bss(self, n):
-        return self.value(SequenceKind.bstarstar, n)
-
-    def css(self, n):
-        return self.value(SequenceKind.cstarstar, n)
+        return getattr(self, kind.value)(n)
 
 
 class _Inexact(Exception):
@@ -294,15 +264,12 @@ INTERLOCK: list[CandidateIdentity] = [
                       _pairings(_almost_balancer)),
 ]
 
-GROUPS = (
-    "teo1", "teo2", "teo3", "teo4", "teo5", "teo6", "teo7", "teo8",
-    "pellk", "baa12", "sec4", "interlock",
-)
-
 CATALOG_COUNTS = {
     "teo1": 2, "teo2": 4, "teo3": 2, "teo4": 6, "teo5": 8, "teo6": 12,
     "teo7": 12, "teo8": 4, "pellk": 4, "baa12": 2, "sec4": 6, "interlock": 4,
 }
+
+GROUPS = tuple(CATALOG_COUNTS)
 
 
 @dataclass
@@ -431,13 +398,16 @@ def verify_solution_sets(equation: str, count: int) -> VerificationReport:
     families enumerate exactly the positive solutions; their sign mirrors
     are implied).  Exact ordered equality is required.
     """
+    return _run_solution_set(equation, count, SequenceValues())
+
+
+def _run_solution_set(equation: str, count: int, S: SequenceValues) -> VerificationReport:
     if equation not in PELL_EQUATIONS:
         raise ValueError("no such identity")
     if count < 1:
         raise ValueError("arguments positive")
     coeffs, m, families = PELL_EQUATIONS[equation]
     form = QuadraticForm(*coeffs)
-    S = SequenceValues()
     got = [sol.pair() for sol in solutions(form, m, count=count, positive=True)]
     expected = sorted({fam(S, n) for fam in families for n in range(1, count + 1)})
     expected = expected[:count]
@@ -475,7 +445,7 @@ def verify_group(group: str, n_max: int, pell_count: int = 10, values=None):
         raise ValueError("arguments positive")
     if group in ("teo1", "teo3"):
         return [
-            verify_solution_sets(eq, pell_count)
+            _run_solution_set(eq, pell_count, values or SequenceValues())
             for eq, grp in _EQUATION_GROUP.items() if grp == group
         ]
     if group == "interlock":

@@ -1,6 +1,15 @@
 import json
+import sys
+
+import pytest
 
 from balance_forge.cli import main
+from balance_forge.sequences import SequenceKind, term
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this build has no int-to-str digit limit",
+)
 
 
 def run(capsys, *argv):
@@ -19,6 +28,19 @@ def test_gen_interleaved(capsys):
     code, out, _ = run(capsys, "gen", "Bss", "1", "5")
     assert code == 0
     assert out.splitlines() == ["1", "2", "4", "11", "23"]
+
+
+@needs_digit_limit
+def test_gen_prints_values_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "gen", "B", "6000", "6000")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{term(SequenceKind.B, 6000)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_gen_empty_range(capsys):
@@ -120,6 +142,19 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "pellk.B", "--upto", "5")
     assert code == 1
     assert "fail" in out and "counterexample" in out
+
+
+@needs_digit_limit
+def test_verify_prints_a_large_counterexample(capsys, monkeypatch):
+    from balance_forge.verifier import VerificationReport
+    import balance_forge.cli as cli
+
+    big = 10 ** 5000
+    failing = VerificationReport("pellk.B", 1, 5, "fail", {"n": 3, "lhs": big, "rhs": 1})
+    monkeypatch.setattr(cli, "verify", lambda *a, **k: failing)
+    code, out, _ = run(capsys, "verify", "pellk.B", "--upto", "5")
+    assert code == 1
+    assert '"lhs":1' + "0" * 5000 + "," in out
 
 
 def test_verify_unknown_id(capsys):

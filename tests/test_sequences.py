@@ -145,6 +145,11 @@ def test_balancer_not_member():
         balancer(BalancerKind.Rstarstar, 0)
 
 
+def test_balancer_rejects_negative_input():
+    with pytest.raises(ValueError, match="negative value"):
+        balancer(BalancerKind.R, -1)
+
+
 def test_balancer_cobalancer_interlock():
     for n in range(1, 101):
         assert balancer(BalancerKind.R, term(K.B, n)) == term(K.b, n)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from balance_forge.sequences import SequenceKind, term
+from balance_forge.sequences import KIND_BY_NAME, SequenceKind, term
 from balance_forge.verifier import (
     CATALOG,
     CATALOG_COUNTS,
@@ -122,6 +122,34 @@ def test_failing_report_carries_counterexample():
     assert report.counterexample["n"] == 7
     assert report.counterexample["lhs"] == term(K.B, 7)
     assert report.counterexample["rhs"] == term(K.B, 7) + 1
+
+
+def test_unknown_route():
+    with pytest.raises(ValueError, match="unknown route"):
+        SequenceValues("bogus")
+
+
+@pytest.mark.parametrize("route", ["recurrence", "binet"])
+def test_accessors_match_term(route):
+    S = SequenceValues(route)
+    for name, kind in KIND_BY_NAME.items():
+        accessor = getattr(S, name)
+        for n in range(61):
+            assert accessor(n) == S.value(kind, n) == term(kind, n), (name, n)
+
+
+@pytest.mark.parametrize("index", [0, 1, 9])
+def test_override_applies_on_binet_route(index):
+    S = SequenceValues("binet", overrides={(K.C, index): 5})
+    assert S.C(index) == S.value(K.C, index) == term(K.C, index) + 5
+    assert S.C(index + 1) == term(K.C, index + 1)
+
+
+@pytest.mark.parametrize("group, fault", [("teo1", (K.B, 2)), ("teo3", (K.C, 2))])
+def test_solution_set_groups_use_values(group, fault):
+    bad = SequenceValues(overrides={fault: 1})
+    assert all(r.passed for r in verify_group(group, 5))
+    assert not all(r.passed for r in verify_group(group, 5, values=bad))
 
 
 def test_inexact_division_is_a_counterexample():
