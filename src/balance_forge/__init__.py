@@ -25,6 +25,7 @@ from .sequences import (
     is_member,
     term,
     term_binet,
+    terms,
 )
 from .pellsolver import (
     OrbitMatrix,

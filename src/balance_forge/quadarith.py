@@ -27,11 +27,34 @@ def isqrt(x: int) -> int:
     return math.isqrt(x)
 
 
+def _residue_table(m: int) -> bytes:
+    """``table[r] == 1`` iff ``r`` is a square modulo ``m``."""
+    table = bytearray(m)
+    for i in range(m):
+        table[i * i % m] = 1
+    return bytes(table)
+
+
+# a square is a quadratic residue modulo 64, 63, 65 and 11; together the
+# four tables pass about 1 non-square in 120 on to the square root
+_SQUARES_64, _SQUARES_63, _SQUARES_65, _SQUARES_11 = map(_residue_table, (64, 63, 65, 11))
+
+
 def is_perfect_square(x: int) -> tuple[bool, int | None]:
-    """Whether ``x`` is a perfect square; returns ``(flag, root-or-None)``."""
-    r = isqrt(x)
-    if r * r == x:
-        return True, r
+    """Whether ``x`` is a perfect square; returns ``(flag, root-or-None)``.
+
+    Most non-squares are rejected by their residues, without a square root.
+    """
+    if x < 0:
+        raise ValueError("negative radicand")
+    if not _SQUARES_64[x & 63]:
+        return False, None
+    r = x % 45045  # 63 * 65 * 11
+    if not (_SQUARES_63[r % 63] and _SQUARES_65[r % 65] and _SQUARES_11[r % 11]):
+        return False, None
+    root = math.isqrt(x)
+    if root * root == x:
+        return True, root
     return False, None
 
 
@@ -84,8 +107,13 @@ class QuadInt:
         if isinstance(other, int):
             return QuadInt(self.p * other, self.q * other, self.d)
         self._check_ring(other)
-        pp = self.p * other.p + self.d * self.q * other.q
-        qq = self.p * other.q + self.q * other.p
+        if other is self:
+            # a square takes three multiplications, two of them squarings
+            pp = self.p * self.p + self.d * (self.q * self.q)
+            qq = 2 * (self.p * self.q)
+        else:
+            pp = self.p * other.p + self.d * self.q * other.q
+            qq = self.p * other.q + self.q * other.p
         if self.half:
             # parity of the inputs guarantees both halves are exact
             return QuadInt(pp // 2, qq // 2, self.d)
@@ -126,16 +154,19 @@ def quad_norm(x: QuadInt) -> int:
 
 
 def quad_pow(x: QuadInt, n: int) -> QuadInt:
-    """``x**n`` by repeated squaring, ``n >= 0``."""
+    """``x**n`` by left-to-right binary powering, ``n >= 0``.
+
+    Each step squares the running product and, on a set bit, multiplies it
+    by ``x`` itself, so for a small base such as ``1 + sqrt(2)`` the
+    multiplications cost next to nothing beside the squarings.
+    """
     if n < 0:
         raise ValueError("negative exponent")
     out = QuadInt.one(x.d)
-    base = x
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base
-        n >>= 1
+    for bit in bin(n)[2:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
     return out
 
 

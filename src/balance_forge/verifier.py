@@ -1,10 +1,13 @@
 """Mechanical finite-range verification of the sequence identity catalog.
 
 Every identity is evaluated in exact integer arithmetic for each index in
-range, on two computation routes (recurrence generation and the
-closed-form route for the core families); a division that is not exact is
-a counterexample, not a crash.  Identities read the families through
-``SequenceValues`` accessors named by the CLI names (``S.B``, ``S.Bss``, ...).
+range, on two computation routes for the core families (stepping their
+recurrences, and successive powers of ``1 + sqrt(2)``); a division that is
+not exact is a counterexample, not a crash.  Identities read the families
+through ``SequenceValues`` accessors named by the CLI names (``S.B``,
+``S.Bss``, ...).  One instance per route holds that route's core columns
+for a whole ``verify_all`` or ``verify_group`` call; nothing is kept
+between calls.
 
 Identity groups and entry counts (the auditable catalog):
 
@@ -33,10 +36,39 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
+from types import SimpleNamespace
 
 from .pellsolver import QuadraticForm, solutions
 from .quadarith import is_perfect_square
-from .sequences import CORE_KINDS, BalancerKind, SequenceKind, balancer, term, term_binet
+# term and term_binet stay module globals: perfbench's tracer wraps them here
+from .sequences import (  # noqa: F401
+    CORE_KINDS, _DERIVED, BalancerKind, SequenceKind, balancer, closed_form_terms, term,
+    term_binet, terms,
+)
+
+# route -> (core kind -> iterator of the family from index 0)
+_ROUTES = {"recurrence": terms, "binet": closed_form_terms}
+
+
+class _Column(dict):
+    """``n -> v(n)`` read from an iterator of ``v(0), v(1), ...``.
+
+    A miss grows the column to twice its size, or past ``n`` if that is
+    further, so the hot path is a plain dict lookup; a negative index is a
+    miss that raises.
+    """
+
+    def __init__(self, values):
+        super().__init__()
+        self.values = values
+
+    def __missing__(self, n):
+        if n < 0:
+            raise ValueError("undefined index")
+        size = len(self)
+        self.update(enumerate(islice(self.values, max(n + 1, 2 * size) - size), size))
+        return self[n]
 
 
 class SequenceValues:
@@ -44,31 +76,35 @@ class SequenceValues:
 
     One accessor per family, named by its CLI name (``S.B(n)``, ``S.Bss(n)``),
     bound at construction.  ``route`` selects how the core families are
-    computed; ``overrides`` maps ``(kind, index)`` to an additive fault, used
-    by sensitivity tests.
+    computed: ``"recurrence"`` steps their recurrences, ``"binet"`` reads
+    successive powers of ``1 + sqrt(2)``.  Each instance keeps its own core
+    columns, grown on demand and freed with the instance; the other families
+    are evaluated from them by their general terms.  ``overrides`` maps
+    ``(kind, index)`` to an additive fault, used by sensitivity tests; a
+    fault changes only the faulted family, never the columns.
     """
 
     def __init__(self, route: str = "recurrence", overrides=None):
-        if route not in ("recurrence", "binet"):
+        source = _ROUTES.get(route)
+        if source is None:
             raise ValueError("unknown route")
         self.route = route
         self.overrides = dict(overrides or {})
+        # the accessors hold the columns, never the instance, so dropping
+        # the instance frees the columns at once
+        core = SimpleNamespace(**{
+            k.value: _Column(source(k)).__getitem__ for k in CORE_KINDS})
         for kind in SequenceKind:
-            setattr(self, kind.value, self._accessor(kind))
-
-    def _accessor(self, kind: SequenceKind):
-        if self.route == "binet" and kind in CORE_KINDS:
-            def exact(n):
-                return term_binet(kind, n) if n >= 1 else term(kind, n)
-        else:
-            exact = partial(term, kind)
-        faults = {n: d for (k, n), d in self.overrides.items() if k is kind}
-        if not faults:
-            return exact
-        return lambda n: exact(n) + faults.get(n, 0)
+            exact = getattr(core, kind.value, None) or partial(_DERIVED[kind], core)
+            faults = {n: d for (k, n), d in self.overrides.items() if k is kind}
+            setattr(self, kind.value, _faulted(exact, faults) if faults else exact)
 
     def value(self, kind: SequenceKind, n: int) -> int:
         return getattr(self, kind.value)(n)
+
+
+def _faulted(exact, faults):
+    return lambda n: exact(n) + faults.get(n, 0)
 
 
 class _Inexact(Exception):
@@ -305,10 +341,14 @@ _CHECK_BY_ID = {check.id: check for check in CATALOG}
 _INTERLOCK_BY_ID = {cand.id: cand for cand in INTERLOCK}
 
 
-def _run_check(check: IdentityCheck, n_max: int, values=None) -> VerificationReport:
-    routes = [values] if values is not None else [
-        SequenceValues("recurrence"), SequenceValues("binet"),
-    ]
+def _routes(values) -> list[SequenceValues]:
+    """``[values]``, or one fresh instance per route."""
+    if values is not None:
+        return [values]
+    return [SequenceValues("recurrence"), SequenceValues("binet")]
+
+
+def _run_check(check: IdentityCheck, n_max: int, routes) -> VerificationReport:
     for S in routes:
         for n in range(check.start, n_max + 1):
             try:
@@ -331,8 +371,7 @@ def _json_value(v):
     return list(v) if isinstance(v, tuple) else v
 
 
-def _run_candidate(cand: CandidateIdentity, n_max: int, values=None) -> VerificationReport:
-    S = values if values is not None else SequenceValues()
+def _run_candidate(cand: CandidateIdentity, n_max: int, S: SequenceValues) -> VerificationReport:
     survivors = list(cand.candidates)
     first_failures = {}
     for n in range(cand.start, n_max + 1):
@@ -432,10 +471,10 @@ def verify(id: str, n_max: int, values=None) -> VerificationReport:
         raise ValueError("arguments positive")
     check = _CHECK_BY_ID.get(id)
     if check is not None:
-        return _run_check(check, n_max, values)
+        return _run_check(check, n_max, _routes(values))
     cand = _INTERLOCK_BY_ID.get(id)
     if cand is not None:
-        return _run_candidate(cand, n_max, values)
+        return _run_candidate(cand, n_max, values or SequenceValues())
     raise ValueError("no such identity")
 
 
@@ -443,26 +482,35 @@ def verify_group(group: str, n_max: int, pell_count: int = 10, values=None):
     """All reports for one identity group, in catalog order."""
     if n_max < 1 or pell_count < 1:
         raise ValueError("arguments positive")
+    return _group_reports(group, n_max, pell_count, _routes(values))
+
+
+def _group_reports(group: str, n_max: int, pell_count: int, routes):
+    # solution sets and interlock candidates read the first route only
     if group in ("teo1", "teo3"):
         return [
-            _run_solution_set(eq, pell_count, values or SequenceValues())
+            _run_solution_set(eq, pell_count, routes[0])
             for eq, grp in _EQUATION_GROUP.items() if grp == group
         ]
     if group == "interlock":
-        return [_run_candidate(c, n_max, values) for c in INTERLOCK]
+        return [_run_candidate(c, n_max, routes[0]) for c in INTERLOCK]
     checks = [c for c in CATALOG if c.group == group]
     if not checks:
         raise ValueError("no such identity")
-    return [_run_check(c, n_max, values) for c in checks]
+    return [_run_check(c, n_max, routes) for c in checks]
 
 
 def verify_all(n_max: int, pell_count: int, values=None):
-    """Every cataloged identity plus the four solution-set checks."""
+    """Every cataloged identity plus the four solution-set checks.
+
+    Each route's columns are built once and shared by every group.
+    """
     if n_max < 1 or pell_count < 1:
         raise ValueError("arguments positive")
+    routes = _routes(values)
     reports = []
     for group in GROUPS:
-        reports.extend(verify_group(group, n_max, pell_count, values))
+        reports.extend(_group_reports(group, n_max, pell_count, routes))
     return reports
 
 

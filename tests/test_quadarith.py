@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +66,42 @@ def test_isqrt_floor_property_big(x):
 )
 def test_is_perfect_square(value, flag, root):
     assert is_perfect_square(value) == (flag, root)
+
+
+def test_is_perfect_square_negative():
+    with pytest.raises(ValueError, match="negative radicand"):
+        is_perfect_square(-4)
+
+
+def _square_oracle(x):
+    r = math.isqrt(x)
+    return (True, r) if r * r == x else (False, None)
+
+
+def test_is_perfect_square_small_range():
+    assert all(is_perfect_square(x) == _square_oracle(x) for x in range(200_001))
+
+
+@given(st.integers(0, 2 * 10**5))
+def test_is_perfect_square_matches_isqrt(x):
+    assert is_perfect_square(x) == _square_oracle(x)
+
+
+@given(st.integers(1, 10**60), st.sampled_from([-1, 0, 1]))
+def test_is_perfect_square_near_big_squares(k, shift):
+    x = k * k + shift
+    assert is_perfect_square(x) == _square_oracle(x)
+
+
+@pytest.mark.parametrize("d", [2, 5, 13, 331])
+def test_quad_pow_matches_repeated_product(d):
+    # d = 5 and 13 use half coordinates
+    for p, q in ((1, 1), (3, -1), (-2, 4), (7, 5)):
+        x = _element(d, p, q)
+        product = QuadInt.one(d)
+        for n in range(41):
+            assert quad_pow(x, n) == product, (x, n)
+            product = product * x
 
 
 def test_quad_examples():

@@ -1,3 +1,9 @@
+import random
+import sys
+import threading
+import tracemalloc
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +19,7 @@ from balance_forge.sequences import (
     is_member,
     term,
     term_binet,
+    terms,
 )
 
 K = SequenceKind
@@ -70,6 +77,104 @@ def test_undefined_index():
 def test_binet_matches_recurrence(kind):
     for n in range(1, 201):
         assert term_binet(kind, n) == term(kind, n)
+
+
+def _plain_recurrence(s1, s2, add, v0, v1, count):
+    out = [v0, v1]
+    while len(out) < count:
+        out.append(s1 * out[-1] + s2 * out[-2] + add)
+    return out
+
+
+PLAIN_DEPTH = 500
+_core = {
+    K.B: _plain_recurrence(6, -1, 0, 0, 1, PLAIN_DEPTH + 3),
+    K.b: _plain_recurrence(6, -1, 2, 0, 0, PLAIN_DEPTH + 3),
+    K.C: _plain_recurrence(6, -1, 0, 1, 3, PLAIN_DEPTH + 3),
+    K.c: _plain_recurrence(6, -1, 0, -1, 1, PLAIN_DEPTH + 3),
+    K.P: _plain_recurrence(2, 1, 0, 0, 1, PLAIN_DEPTH + 3),
+}
+B, b, C, c = (_core[k].__getitem__ for k in (K.B, K.b, K.C, K.c))
+
+
+def _interleaved(odd, even):
+    return lambda n: odd((n + 1) // 2) if n % 2 else even(n // 2)
+
+
+# the general terms of the module docstring, over plain recurrence lists
+PLAIN = {
+    **{kind: values.__getitem__ for kind, values in _core.items()},
+    K.Bstar: lambda n: 3 * B(n),
+    K.Cstar: lambda n: 3 * C(n),
+    K.bstarstar: lambda n: 3 * b(n) + 1,
+    K.cstarstar: lambda n: 3 * c(n) if n else 3,
+    K.Bstarstar: _interleaved(lambda m: B(m - 1) + C(m - 1), lambda m: C(m) - B(m)),
+    K.Cstarstar: _interleaved(lambda m: 8 * B(m - 1) + C(m - 1), lambda m: 8 * B(m) - C(m)),
+    K.bstar: _interleaved(lambda m: 4 * b(m) - b(m - 1) + 1, lambda m: 2 * b(m + 1) - b(m)),
+    K.cstar: _interleaved(lambda m: c(m + 1) - 2 * c(m), lambda m: c(m + 2) - 4 * c(m + 1)),
+}
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+def test_term_matches_plain_recurrence(kind):
+    expected = [PLAIN[kind](n) for n in range(PLAIN_DEPTH + 1)]
+    assert [term(kind, n) for n in range(PLAIN_DEPTH + 1)] == expected
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 37, 250])
+def test_terms_steps_from_any_start(kind, start):
+    assert list(islice(terms(kind, start), 60)) == [
+        PLAIN[kind](n) for n in range(start, start + 60)]
+
+
+def test_terms_negative_start():
+    with pytest.raises(ValueError, match="undefined index"):
+        terms(K.cstar, -1)
+
+
+@pytest.mark.parametrize("n", [10**4, 20002])
+@pytest.mark.parametrize("kind", [K.B, K.b, K.C, K.c, K.P], ids=lambda k: k.value)
+def test_term_matches_binet_deep(kind, n):
+    assert term(kind, n) == term_binet(kind, n)
+
+
+def test_term_retains_nothing():
+    term(K.B, 10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        term(K.B, 60000)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 4096
+    # B(60000) is about 20 KiB; the engine holds a few values of that size
+    assert peak - before < 10 * 2**20
+
+
+def test_term_is_thread_safe():
+    rng = random.Random(7)
+    queries = [(rng.choice(list(SequenceKind)), rng.randint(0, 3000)) for _ in range(400)]
+    expected = [term(kind, n) for kind, n in queries]
+    results = [None] * 4
+
+    def worker(slot):
+        results[slot] = [term(kind, n) for kind, n in queries[slot::4]]
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for slot in range(4):
+        assert results[slot] == expected[slot::4]
 
 
 def test_binet_examples():

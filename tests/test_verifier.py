@@ -1,7 +1,10 @@
+import gc
 import json
+import weakref
 
 import pytest
 
+from balance_forge import sequences, verifier
 from balance_forge.sequences import KIND_BY_NAME, SequenceKind, term
 from balance_forge.verifier import (
     CATALOG,
@@ -136,6 +139,52 @@ def test_accessors_match_term(route):
         accessor = getattr(S, name)
         for n in range(61):
             assert accessor(n) == S.value(kind, n) == term(kind, n), (name, n)
+
+
+@pytest.mark.parametrize("route", ["recurrence", "binet"])
+def test_accessors_reject_negative_index(route):
+    S = SequenceValues(route)
+    S.B(10)  # a grown column must not answer a negative index from its end
+    for name in KIND_BY_NAME:
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="undefined index"):
+                getattr(S, name)(n)
+
+
+@pytest.mark.parametrize("route", ["recurrence", "binet"])
+def test_values_free_their_columns(route):
+    gc.disable()
+    try:
+        S = SequenceValues(route, overrides={(K.cstar, 4): 1})
+        for name in KIND_BY_NAME:
+            getattr(S, name)(50)
+        ref = weakref.ref(S)
+        del S
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_binet_route_does_not_read_the_recurrences(monkeypatch):
+    expected = {kind: [term(kind, n) for n in range(40)] for kind in SequenceKind}
+    for kind, (_, s1, s2, add) in sequences._RECURRENCES.items():
+        monkeypatch.setitem(sequences._RECURRENCES, kind, ((7, 7), s1, s2, add + 1))
+    S = SequenceValues("binet")
+    for kind in SequenceKind:
+        assert [S.value(kind, n) for n in range(40)] == expected[kind], kind
+
+
+def test_verify_all_builds_each_route_once(monkeypatch):
+    built = []
+
+    class Counted(SequenceValues):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.route)
+
+    monkeypatch.setattr(verifier, "SequenceValues", Counted)
+    assert all(r.passed for r in verify_all(20, 5))
+    assert built == ["recurrence", "binet"]
 
 
 @pytest.mark.parametrize("index", [0, 1, 9])
