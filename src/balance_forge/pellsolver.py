@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 
 from .quadarith import (
     is_perfect_square,
     isqrt,
-    real_bounds,
     tau_rho_coords,
 )
 
@@ -111,44 +109,41 @@ class Solution:
 RepresentativeSet = list[tuple[int, int]]
 
 
-def orbit_matrix(form: QuadraticForm) -> OrbitMatrix:
-    """The matrix of the norm-one fundamental unit acting on solution rows."""
-    delta = form.delta
+def _unit_trace(delta: int) -> tuple[int, int]:
+    """``(X, Y)`` with ``tau(delta) = (X + Y*sqrt(delta))/2``; ``X`` is its trace."""
     u, v = tau_rho_coords(delta)
+    return 2 * u + v * (delta & 1), v
+
+
+def orbit_matrix(form: QuadraticForm) -> OrbitMatrix:
+    """The matrix of the norm-one fundamental unit acting on solution rows.
+
+    It is the automorph ``((X - b*Y)/2, a*Y; -c*Y, (X + b*Y)/2)`` of the
+    form; ``X`` and ``b*Y`` have the same parity, so every entry is integral.
+    """
+    X, Y = _unit_trace(form.delta)
     a, b, c = form.a, form.b, form.c
-    if delta % 4 == 0:
-        h = b // 2
-        return OrbitMatrix(u - h * v, a * v, -c * v, u + h * v)
-    return OrbitMatrix(
-        u + ((1 - b) // 2) * v, a * v, -c * v, u + ((1 + b) // 2) * v
-    )
-
-
-def _sqrt_upper(value: Fraction) -> Fraction:
-    """A rational upper bound of ``sqrt(value)`` for ``value >= 0``."""
-    return Fraction(isqrt(value.numerator * value.denominator) + 1, value.denominator)
+    return OrbitMatrix((X - b * Y) // 2, a * Y, -c * Y, (X + b * Y) // 2)
 
 
 def rep_bound(form: QuadraticForm, m: int) -> Fraction:
-    """Over-approximation of the representative bound on ``y``.
+    """Upper bound on the representative bound ``U`` on ``y``, within 2^-64.
 
     Every orbit contains a row with ``0 <= y <= U`` where
-    ``U = sqrt(|a*m*t/delta|) * (1 - 1/t)`` for ``a*m > 0`` and
-    ``U = sqrt(|a*m*t/delta|) * (1 + 1/t)`` for ``a*m < 0``, ``t`` being the
-    real value of the norm-one fundamental unit.  ``t`` is irrational, so
-    the returned value is a rational bound that can only err upward; extra
-    ``y`` candidates cost a redundant scan step, never a lost orbit.
+    ``U^2 = |a*m| * (X - 2) / delta`` for ``a*m > 0`` and
+    ``U^2 = |a*m| * (X + 2) / delta`` for ``a*m < 0``, ``X`` being the trace
+    ``t + 1/t`` of the norm-one fundamental unit ``t``.  ``U^2`` is exact;
+    its square root is rounded up to a multiple of 2^-64, so the bound can
+    only err upward: extra ``y`` candidates cost a redundant scan step,
+    never a lost orbit.
     """
     am = form.a * m
     if am == 0:
         raise ValueError("degenerate right-hand side")
     delta = form.delta
-    u, v = tau_rho_coords(delta)
-    X = 2 * u + (v if delta % 4 == 1 else 0)
-    t_lo, t_hi = real_bounds(X, v, delta)
-    w_hi = Fraction(abs(am)) * t_hi / delta
-    factor = 1 - 1 / t_hi if am > 0 else 1 + 1 / t_lo
-    return _sqrt_upper(w_hi) * factor
+    X, _ = _unit_trace(delta)
+    num = abs(am) * (X - 2 if am > 0 else X + 2)
+    return Fraction(isqrt((num << 128) // delta) + 1, 1 << 64)
 
 
 def _search_ceiling(form: QuadraticForm, m: int) -> int:
@@ -203,6 +198,14 @@ def _square_residue_table(np, delta, shift, modulus, factors):
     return keep
 
 
+def _exact_square_hits(delta, shift, ys):
+    """The ``y0`` of ``ys`` with ``delta*y0^2 + shift`` square, in big-int arithmetic."""
+    for y0 in ys:
+        rad = delta * y0 * y0 + shift
+        if rad >= 0 and is_perfect_square(rad)[0]:
+            yield y0
+
+
 def _square_radicand_hits(delta: int, shift: int, ceiling: int):
     """All ``y0`` in ``[0, ceiling]``, ascending, with ``delta*y0^2 + shift`` square.
 
@@ -210,17 +213,13 @@ def _square_radicand_hits(delta: int, shift: int, ceiling: int):
     first sieved down to the residue classes of ``y0`` where the radicand
     is a square residue modulo two smooth moduli (the radicand mod M
     depends only on ``y0`` mod M), discarding over 99.9% of candidates;
-    windows past exact-int64 range use a float square-root filter whose
-    error is orders of magnitude below the gap between squares, and every
-    surviving candidate is confirmed in exact integer arithmetic.
+    past exact-int64 range every surviving candidate is confirmed in
+    big-int arithmetic.
     Ceilings beyond 10^12 (fundamental unit around 10^25) are out of
     practical range for this scan method and are rejected.
     """
     if ceiling < 4096:
-        for y0 in range(ceiling + 1):
-            rad = delta * y0 * y0 + shift
-            if rad >= 0 and is_perfect_square(rad)[0]:
-                yield y0
+        yield from _exact_square_hits(delta, shift, range(ceiling + 1))
         return
     if ceiling > _CEILING_LIMIT:
         raise ValueError(
@@ -252,17 +251,8 @@ def _square_radicand_hits(delta: int, shift: int, ceiling: int):
         y = y[second[y % _SECOND_SIEVE_M]]
         if int64_exact:
             yield from map(int, _numpy_square_hits(np, delta, shift, y))
-            continue
-        # beyond int64: float filter, then exact big-int confirmation.
-        # A true square lands within ~3e-16 relative error of an integer
-        # root (absolute error below 0.01 for roots up to ~3e13).
-        yf = y.astype(np.float64)
-        s = np.sqrt(np.maximum(delta * yf * yf + shift, 0.0))
-        y = y[np.abs(s - np.rint(s)) < 0.02]
-        for y0 in map(int, y):
-            rad = delta * y0 * y0 + shift
-            if rad >= 0 and is_perfect_square(rad)[0]:
-                yield y0
+        else:
+            yield from _exact_square_hits(delta, shift, map(int, y))
 
 
 def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
@@ -274,11 +264,6 @@ def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
     """
     if m == 0:
         raise ValueError("degenerate right-hand side")
-    return list(_representatives_cached(form, m))
-
-
-@lru_cache(maxsize=256)
-def _representatives_cached(form: QuadraticForm, m: int) -> tuple[tuple[int, int], ...]:
     delta, a, b = form.delta, form.a, form.b
     found = set()
     for y0 in _square_radicand_hits(delta, 4 * a * m, _search_ceiling(form, m)):
@@ -301,7 +286,7 @@ def _representatives_cached(form: QuadraticForm, m: int) -> tuple[tuple[int, int
             continue
         kept.append(rep)
         absorbed |= _bounded_orbit(rep, matrix, inverse)
-    return tuple(kept)
+    return kept
 
 
 def _sort_key(sol: Solution):

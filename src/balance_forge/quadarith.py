@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def isqrt(x: int) -> int:
@@ -277,12 +276,23 @@ def fundamental_unit(delta: int) -> QuadInt:
     return _pair_to_quadint(X, Y, delta)
 
 
+def _tau_pair(delta: int) -> tuple[int, int]:
+    """The norm-one fundamental unit as ``(X, Y)`` with ``X^2 - delta*Y^2 = 4``.
+
+    The value is ``(X + Y*sqrt(delta)) / 2``; a fundamental unit of norm -1
+    is squared, which in this form maps ``(X, Y)`` to
+    ``((X^2 + delta*Y^2)/2, X*Y)``.
+    """
+    _validate_discriminant(delta)
+    X, Y = _unit_delta_pair(delta)
+    if X * X - delta * Y * Y == -4:
+        X, Y = (X * X + delta * Y * Y) // 2, X * Y
+    return X, Y
+
+
 def tau(delta: int) -> QuadInt:
     """The fundamental unit normalized to norm +1 (squared if norm is -1)."""
-    eps = fundamental_unit(delta)
-    t = eps if eps.norm() == 1 else eps * eps
-    assert t.norm() == 1
-    return t
+    return _pair_to_quadint(*_tau_pair(delta), delta)
 
 
 def tau_rho_coords(delta: int) -> tuple[int, int]:
@@ -291,13 +301,8 @@ def tau_rho_coords(delta: int) -> tuple[int, int]:
     ``rho`` is ``sqrt(delta/4)`` for even discriminants and
     ``(1 + sqrt(delta))/2`` for odd ones; both coordinates are integers.
     """
-    t = tau(delta)
-    if delta % 4 == 1:
-        return (t.p - t.q) // 2, t.q
-    if t.half:
-        # ring radicand delta/4 is itself 1 mod 4: stored pair is doubled
-        return t.p // 2, t.q // 2
-    return t.p, t.q
+    X, Y = _tau_pair(delta)
+    return (X - Y * (delta & 1)) // 2, Y
 
 
 def quadint_delta_pair(x: QuadInt, delta: int) -> tuple[int, int]:
@@ -311,14 +316,3 @@ def quadint_delta_pair(x: QuadInt, delta: int) -> tuple[int, int]:
     if x.half:
         return x.p, x.q // 2
     return 2 * x.p, x.q
-
-
-def real_bounds(X: int, Y: int, delta: int, bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of ``(X + Y*sqrt(delta))/2`` with ``Y >= 0``."""
-    if Y < 0:
-        raise ValueError("negative sqrt coefficient")
-    scale = 1 << bits
-    lo = math.isqrt(delta * scale * scale)
-    t_lo = Fraction(X * scale + Y * lo, 2 * scale)
-    t_hi = Fraction(X * scale + Y * (lo + 1), 2 * scale)
-    return t_lo, t_hi

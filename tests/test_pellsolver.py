@@ -1,16 +1,20 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from balance_forge.pellsolver import (
     OrbitMatrix,
     QuadraticForm,
+    _square_radicand_hits,
     brute_force_solutions,
     orbit_matrix,
     rep_bound,
     representatives,
     solutions,
 )
+from balance_forge.quadarith import is_perfect_square, tau
 from balance_forge.sequences import SequenceKind, term
 
 F32 = QuadraticForm(8, 0, -1)
@@ -182,3 +186,89 @@ def _random_form(rng):
         )
     except ValueError:
         return None
+
+
+def _discriminants(limit):
+    return [
+        d for d in range(5, limit)
+        if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d
+    ]
+
+
+def _forms_of(delta):
+    """Six forms of discriminant ``delta``: ``(1, b, n)``, ``(n, b, 1)`` and
+    ``(-1, b, -n)`` for two values of ``b``, with ``n = (b^2 - delta)/4``."""
+    out = []
+    for b in (delta % 2, delta % 2 + 2):
+        n = (b * b - delta) // 4
+        out += [QuadraticForm(1, b, n), QuadraticForm(n, b, 1), QuadraticForm(-1, b, -n)]
+    return out
+
+
+def test_orbit_matrix_is_an_automorph_below_2000():
+    rng = random.Random(0x0A17)
+    for delta in _discriminants(2000):
+        for form in _forms_of(delta):
+            matrix = orbit_matrix(form)
+            assert matrix.det() == 1, form
+            for _ in range(3):
+                row = (rng.randint(-99, 99), rng.randint(-99, 99))
+                assert form.evaluate(*matrix.apply(row)) == form.evaluate(*row), form
+
+
+def test_rep_bound_is_the_exact_bound_rounded_up_below_2000():
+    # U^2 = |a*m| * (X -+ 2) / delta with X = t + 1/t, the trace of tau
+    rng = random.Random(0xB0B0)
+    ulp = Fraction(1, 1 << 64)
+    for delta in _discriminants(2000):
+        t = tau(delta)
+        trace = t.p if t.half else 2 * t.p
+        for form in _forms_of(delta)[:2]:
+            m = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+            am = form.a * m
+            u2 = Fraction(abs(am) * (trace - 2 if am > 0 else trace + 2), delta)
+            bound = rep_bound(form, m)
+            assert bound * bound >= u2, (form, m)
+            assert bound - ulp < 0 or (bound - ulp) ** 2 <= u2, (form, m)
+
+
+@pytest.mark.parametrize("delta,y0,k", [
+    (539380302480054224472317, 5215, 284),
+    (520310123191416198435324, 5239, 98),
+    (895858577158747748733656, 4260, 241),
+])
+def test_square_hits_exact_past_int64(delta, y0, k):
+    # the radicand is about 10^31: a float square root of it is off by more
+    # than the gap a filter on its fractional part can tolerate
+    root = math.isqrt(delta * y0 * y0) + k
+    shift = root * root - delta * y0 * y0
+    expected = [
+        y for y in range(6001)
+        if delta * y * y + shift >= 0 and is_perfect_square(delta * y * y + shift)[0]
+    ]
+    assert y0 in expected
+    assert list(_square_radicand_hits(delta, shift, 6000)) == expected
+
+
+def test_solvability_and_fundamental_solutions_match_diop_dn():
+    sympy_diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    rng = random.Random(0xD10D)
+    checked = 0
+    while checked < 60:
+        D = rng.randrange(2, 350)
+        N = rng.choice([-1, 1]) * rng.randint(1, 30)
+        if checked % 2:
+            # few random right-hand sides are solvable: plant (x, 1) in half
+            x = math.isqrt(D) + rng.randint(0, 1)
+            N = x * x - D
+        if math.isqrt(D) ** 2 == D or not 0 < abs(N) <= 30:
+            continue
+        form = QuadraticForm(1, 0, -D)
+        fundamental = sympy_diophantine.diop_DN(D, N)
+        assert bool(solutions(form, N, count=1, positive=True)) == bool(fundamental), (D, N)
+        if fundamental:
+            xbound = max(1, max(abs(x) for x, _ in fundamental))
+            stream = {s.pair() for s in solutions(form, N, xbound=xbound)}
+            for x, y in fundamental:
+                assert (x, y) in stream and (x, -y) in stream, (D, N, x, y)
+        checked += 1

@@ -227,14 +227,16 @@ def test_fundamental_unit_half_coordinates():
 
 @pytest.mark.parametrize("delta", [-4, 0, 16, 36, 100])
 def test_unit_degenerate_discriminant(delta):
-    with pytest.raises(ValueError, match="degenerate discriminant"):
-        fundamental_unit(delta)
+    for unit in (fundamental_unit, tau, tau_rho_coords):
+        with pytest.raises(ValueError, match="degenerate discriminant"):
+            unit(delta)
 
 
 @pytest.mark.parametrize("delta", [6, 7, 10, 11])
 def test_unit_not_a_discriminant(delta):
-    with pytest.raises(ValueError, match="not a discriminant"):
-        fundamental_unit(delta)
+    for unit in (fundamental_unit, tau, tau_rho_coords):
+        with pytest.raises(ValueError, match="not a discriminant"):
+            unit(delta)
 
 
 def _minimal_unit_pair(delta, cap=10**6):
@@ -261,3 +263,21 @@ def test_tau_matches_bruteforce_below_200():
             assert t == eps
         else:
             assert t == eps * eps
+
+
+def _rho(delta):
+    """``sqrt(delta/4)`` for even ``delta``, ``(1 + sqrt(delta))/2`` for odd."""
+    if delta % 2:
+        return QuadInt(1, 1, delta)
+    d = delta // 4
+    return QuadInt(0, 2, d) if d % 4 == 1 else QuadInt(0, 1, d)
+
+
+def test_tau_rho_coords_rebuild_tau_below_2000():
+    for delta in range(5, 2000):
+        if delta % 4 in (2, 3) or is_perfect_square(delta)[0]:
+            continue
+        u, v = tau_rho_coords(delta)
+        t = tau(delta)
+        assert QuadInt.one(t.d) * u + _rho(delta) * v == t, delta
+        assert t.norm() == 1, delta
