@@ -13,6 +13,7 @@ merging the sweeps into one stream ordered by ``(|x|, x, y)``.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,34 +169,219 @@ def _bounded_orbit(row, matrix, inverse, steps=32):
     return out
 
 
-_SIEVE_MODULI = (64, 9, 5, 7, 11, 13)
-_SIEVE_M = 2882880  # product of the moduli
-_SECOND_SIEVE_PRIMES = (17, 19, 23, 29, 31)
-_SECOND_SIEVE_M = 6678671  # product of the primes
 _CEILING_LIMIT = 10**12
+# prime powers whose square-residue tables sieve y0
+_SIEVE_MODULI = (
+    64, 27, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+    43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+)
+_SIEVE_CHUNK = 1 << 22  # largest candidate array
+# the lattice search takes windows it crosses in at most this many rows
+_LATTICE_ROWS = 1 << 8
+_LATTICE_ROOTS = 1 << 12  # most square roots of delta it lists per modulus
+# Pollard's rho splits n in about n^(1/4) steps: at most about 2^17 here
+_FACTOR_LIMIT = 1 << 66
+# Miller-Rabin on these bases is exact below 3.3 * 10^24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _numpy_square_hits(np, delta, shift, y):
-    """Exact square hits among int64 candidates ``y`` (values below 2^62)."""
-    v = delta * y * y + shift
-    s = np.sqrt(np.maximum(v, 0).astype(np.float64)).astype(np.int64)
-    hit = np.zeros(len(y), dtype=bool)
-    for k in (-2, -1, 0, 1, 2):  # covers the rounding error of the float sqrt
-        hit |= (s + k) * (s + k) == v
-    hit &= v >= 0
-    return y[hit]
+def _is_prime(n: int) -> bool:
+    """Whether ``n`` is prime, by Miller-Rabin on ``_WITNESSES``."""
+    if n in _WITNESSES:
+        return True
+    if n < 2 or any(n % p == 0 for p in _WITNESSES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _square_residue_table(np, delta, shift, modulus, factors):
-    """Boolean table over ``y mod modulus`` of radicand square-residue-ness."""
-    r = np.arange(modulus, dtype=np.int64)
-    vr = ((delta % modulus) * r % modulus * r + shift) % modulus
-    keep = np.ones(modulus, dtype=bool)
-    for mod in factors:
-        squares = np.zeros(mod, dtype=bool)
-        squares[np.arange(mod, dtype=np.int64) ** 2 % mod] = True
-        keep &= squares[vr % mod]
-    return keep
+def _rho_factor(n: int) -> int | None:
+    """A proper factor of the odd composite ``n`` by Pollard-Brent, or None."""
+    for c in range(1, 8):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g < n:
+            return g
+    return None
+
+
+def _factor(n: int) -> dict[int, int] | None:
+    """``{prime: exponent}`` of ``0 < n < _FACTOR_LIMIT``, or None if Pollard's rho fails."""
+    out: dict[int, int] = {}
+    for p in range(2, 1 << 10):  # a composite p never divides what is left
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        n = stack.pop()
+        if _is_prime(n):
+            out[n] = out.get(n, 0) + 1
+            continue
+        d = _rho_factor(n)
+        if d is None:
+            return None
+        stack += [d, n // d]
+    return out
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of ``a`` modulo the odd prime ``p`` (Tonelli-Shanks), or None."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int] | None:
+    """Every ``z`` in ``[0, p^e)`` with ``z^2 = d (mod p^e)``, for ``e >= 1``.
+
+    Below 2^10 the roots are lifted one power of ``p`` at a time by trying
+    every digit; a larger prime lifts the two roots modulo ``p`` by Newton's
+    step.  None when a prime above 2^10 divides ``d`` or the roots number
+    more than ``_LATTICE_ROOTS``.
+    """
+    if p < 1 << 10:
+        roots, q = [0], 1
+        for _ in range(e):
+            roots = [z for r in roots for z in range(r, r + p * q, q) if (z * z - d) % (p * q) == 0]
+            q *= p
+            if len(roots) > _LATTICE_ROOTS:
+                return None
+        return roots
+    if d % p == 0:
+        return None
+    z = _sqrt_mod_prime(d % p, p)
+    if z is None:
+        return []
+    q = p
+    for _ in range(e - 1):
+        q *= p
+        z = (z - (z * z - d) * pow(2 * z, -1, q)) % q
+    return [z, q - z]
+
+
+def _hyperbola_rows(delta: int, n: int, modulus: int, z: int, bound: int):
+    """``|y|`` of each ``(w, y)`` with ``w^2 - delta*y^2 = n`` and ``w = z*y``
+    modulo ``modulus``, if ``w^2 + delta*y^2 <= bound``.
+
+    The pairs with ``w = z*y`` form a lattice of determinant ``modulus``.  A basis ``u, v``
+    reduced for ``w^2 + delta*y^2`` keeps the row index ``j`` of a point
+    ``i*u + j*v`` inside the ellipse small; on each row ``w^2 - delta*y^2 = n``
+    is a quadratic in ``i``, solved exactly.
+    """
+    def dot(a, b):
+        return a[0] * b[0] + delta * a[1] * b[1]
+
+    u, v = (modulus, 0), (z, 1)
+    if dot(v, v) < dot(u, u):
+        u, v = v, u
+    while True:  # Lagrange reduction: u is a shortest vector
+        k = (2 * dot(u, v) + dot(u, u)) // (2 * dot(u, u))
+        v = (v[0] - k * u[0], v[1] - k * u[1])
+        if dot(v, v) >= dot(u, u):
+            break
+        u, v = v, u
+    gram = delta * modulus * modulus  # dot(u,u)*dot(v,v) - dot(u,v)^2
+    fu = u[0] * u[0] - delta * u[1] * u[1]  # nonzero: delta is not a square
+    fuv = u[0] * v[0] - delta * u[1] * v[1]
+    # dot(u,u) * (w^2 + delta*y^2) >= gram * j^2
+    rows = isqrt(dot(u, u) * bound // gram)
+    for j in range(-rows, rows + 1):
+        # F(i*u + j*v) = fu*i^2 + 2*fuv*i*j + F(v)*j^2 = n, F = w^2 - delta*y^2,
+        # is a quadratic in i with discriminant/4 equal to gram*j^2 + fu*n
+        disc = gram * j * j + fu * n
+        if disc < 0:
+            continue
+        s = isqrt(disc)
+        if s * s != disc:
+            continue
+        for num in {s - fuv * j, -s - fuv * j}:
+            if num % fu == 0:
+                yield abs(num // fu * u[1] + j * v[1])
+
+
+def _lattice_hits(delta: int, shift: int, ceiling: int) -> list[int] | None:
+    """All ``y0`` in ``[0, ceiling]``, ascending, with ``delta*y0^2 + shift`` square.
+
+    A solution of ``w^2 - delta*y^2 = shift`` with ``gcd(w, y) = g`` has
+    ``g^2 | shift``, and ``(w, y)/g`` has ``w = z*y`` modulo ``|shift|/g^2``
+    for a square root ``z`` of ``delta``.  The shift is factored, and for
+    each ``g`` and ``z`` the points of that lattice are read off row by row.
+    Each lattice takes about ``ceiling * (4*delta/shift^2)^(1/4)`` rows,
+    however wide the window.  None when the shift cannot be factored or the
+    square roots of ``delta`` cannot be listed.
+    """
+    factors = _factor(abs(shift))
+    if factors is None:
+        return None
+    scales = [(1, [])]  # (g, [(p, exponent of p in shift/g^2)])
+    for p, e in factors.items():
+        scales = [(g * p**f, parts + [(p, e - 2 * f)])
+                  for g, parts in scales for f in range(e // 2 + 1)]
+    hits = set()
+    for g, parts in scales:
+        n, top = shift // (g * g), ceiling // g
+        bound = 2 * delta * top * top + n  # w^2 + delta*y^2 of a solution with y <= top
+        if bound < 0:
+            continue
+        roots, modulus = [0], 1
+        for p, e in parts:
+            if e == 0:
+                continue
+            found = _sqrt_mod_prime_power(delta, p, e)
+            if found is None:
+                return None
+            q = p**e
+            inv = pow(modulus, -1, q)
+            roots = [r + modulus * ((s - r) * inv % q) for r in roots for s in found]
+            modulus *= q
+            if len(roots) > _LATTICE_ROOTS:
+                return None
+        for z in roots:
+            hits.update(g * y for y in _hyperbola_rows(delta, n, modulus, z, bound) if y <= top)
+    return sorted(hits)
 
 
 def _exact_square_hits(delta, shift, ys):
@@ -206,15 +392,62 @@ def _exact_square_hits(delta, shift, ys):
             yield y0
 
 
+def _sieve_hits(delta: int, shift: int, ceiling: int):
+    """All ``y0`` in ``[0, ceiling]``, ascending, with ``delta*y0^2 + shift`` square.
+
+    Modulo each prime power ``p`` of ``_SIEVE_MODULI`` a square radicand
+    needs ``y0 mod p`` in a small table, built from ``delta mod p`` and
+    ``shift mod p``.  The residues of ``y0`` are lifted one table at a time
+    by the Chinese remainder theorem, most selective first, while the
+    combined modulus stays within the window and the residue array within
+    ``_SIEVE_CHUNK`` entries; the tables left over filter the candidates,
+    which numpy enumerates in chunks of that size.  Every survivor is
+    confirmed by an integer square root of its big-int radicand, so no
+    fixed-width or floating-point value decides a hit.  The work grows
+    with ``ceiling``.
+    """
+    import numpy as np
+
+    tables = []
+    for p in _SIEVE_MODULI:
+        r = np.arange(p, dtype=np.int64)
+        squares = np.zeros(p, dtype=bool)
+        squares[r * r % p] = True
+        ok = squares[(delta % p * r * r + shift % p) % p]
+        if not ok.any():
+            return
+        if not ok.all():
+            tables.append((p, ok))
+    tables.sort(key=lambda t: Fraction(int(t[1].sum()), t[0]))  # most selective first
+    modulus, residues, rest = 1, np.zeros(1, dtype=np.int64), []
+    for p, ok in tables:
+        if modulus * p <= ceiling + 1 and len(residues) * p <= _SIEVE_CHUNK:
+            # rows k = 0..p-1 of residues + k*modulus: ascending when raveled
+            lifted = (residues + modulus * np.arange(p, dtype=np.int64)[:, None]).ravel()
+            residues = lifted[ok[lifted % p]]
+            modulus *= p
+        else:
+            rest.append((p, ok))
+    span = modulus * max(1, _SIEVE_CHUNK // len(residues))
+    for lo in range(0, ceiling + 1, span):
+        bases = np.arange(lo, min(lo + span, ceiling + 1), modulus, dtype=np.int64)
+        y = (bases[:, None] + residues).ravel()
+        for p, ok in rest:
+            y = y[ok[y % p]]
+        for y0 in y[y <= ceiling].tolist():
+            rad = delta * y0 * y0 + shift
+            if rad >= 0 and isqrt(rad) ** 2 == rad:
+                yield y0
+
+
 def _square_radicand_hits(delta: int, shift: int, ceiling: int):
     """All ``y0`` in ``[0, ceiling]``, ascending, with ``delta*y0^2 + shift`` square.
 
-    Large windows are swept in int64 vector chunks.  Very large ones are
-    first sieved down to the residue classes of ``y0`` where the radicand
-    is a square residue modulo two smooth moduli (the radicand mod M
-    depends only on ``y0`` mod M), discarding over 99.9% of candidates;
-    past exact-int64 range every surviving candidate is confirmed in
-    big-int arithmetic.
+    Small windows are scanned one ``y0`` at a time.  A larger window is
+    searched on the lattices of ``_lattice_hits`` when the shift is large
+    enough for them to cross it in at most ``_LATTICE_ROWS`` rows (the
+    estimate ``ceiling * (4*delta/shift^2)^(1/4)``), and otherwise, or when
+    the shift cannot be factored, sieved by ``_sieve_hits``.  Both are exact.
     Ceilings beyond 10^12 (fundamental unit around 10^25) are out of
     practical range for this scan method and are rejected.
     """
@@ -226,33 +459,12 @@ def _square_radicand_hits(delta: int, shift: int, ceiling: int):
             "representative search ceiling exceeds 10^12; the fundamental "
             "unit is too large for the scan method"
         )
-    import numpy as np
-
-    int64_exact = delta * (ceiling + 1) ** 2 + abs(shift) < 2**62
-    if int64_exact and ceiling <= 4 * _SIEVE_M:
-        chunk = 1 << 22
-        for lo in range(0, ceiling + 1, chunk):
-            y = np.arange(lo, min(lo + chunk, ceiling + 1), dtype=np.int64)
-            yield from map(int, _numpy_square_hits(np, delta, shift, y))
-        return
-    residues = np.flatnonzero(
-        _square_residue_table(np, delta, shift, _SIEVE_M, _SIEVE_MODULI)
-    )
-    if not len(residues):
-        return
-    second = _square_residue_table(
-        np, delta, shift, _SECOND_SIEVE_M, _SECOND_SIEVE_PRIMES
-    )
-    bases = np.arange(0, ceiling + 1, _SIEVE_M, dtype=np.int64)
-    batch = max(1, (1 << 22) // len(residues))
-    for i in range(0, len(bases), batch):
-        y = (bases[i : i + batch, None] + residues[None, :]).ravel()
-        y = y[y <= ceiling]
-        y = y[second[y % _SECOND_SIEVE_M]]
-        if int64_exact:
-            yield from map(int, _numpy_square_hits(np, delta, shift, y))
-        else:
-            yield from _exact_square_hits(delta, shift, map(int, y))
+    if abs(shift) < _FACTOR_LIMIT and 2 * isqrt(delta) * ceiling**2 <= _LATTICE_ROWS**2 * abs(shift):
+        hits = _lattice_hits(delta, shift, ceiling)
+        if hits is not None:
+            yield from hits
+            return
+    yield from _sieve_hits(delta, shift, ceiling)
 
 
 def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:

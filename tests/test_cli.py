@@ -83,6 +83,13 @@ def test_solve_count_second_form(capsys):
     assert out.splitlines() == ["(3,3)", "(15,21)"]
 
 
+def test_solve_right_hand_side_past_int64(capsys):
+    # 4*a*m = 2^64: the residue tables of the scan must not go through int64
+    code, out, _ = run(capsys, "solve", "1", "0", "-2", "4611686018427387904", "--count", "2")
+    assert code == 0
+    assert out.splitlines() == ["(6442450944,4294967296)", "(36507222016,25769803776)"]
+
+
 def test_solve_degenerate_form(capsys):
     code, _, err = run(capsys, "solve", "1", "0", "-4", "5", "--count", "1")
     assert code == 2

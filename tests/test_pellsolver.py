@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from balance_forge import pellsolver
 from balance_forge.pellsolver import (
     OrbitMatrix,
     QuadraticForm,
+    _exact_square_hits,
+    _factor,
+    _lattice_hits,
+    _search_ceiling,
+    _sieve_hits,
+    _sqrt_mod_prime_power,
     _square_radicand_hits,
     brute_force_solutions,
     orbit_matrix,
@@ -232,14 +239,31 @@ def test_rep_bound_is_the_exact_bound_rounded_up_below_2000():
             assert bound - ulp < 0 or (bound - ulp) ** 2 <= u2, (form, m)
 
 
+def _each_search(delta, shift, ceiling):
+    # the chosen search, the sieve and the lattice search (or the sieve again
+    # where the shift cannot be factored)
+    lattice = _lattice_hits(delta, shift, ceiling)
+    return [
+        list(_square_radicand_hits(delta, shift, ceiling)),
+        list(_sieve_hits(delta, shift, ceiling)),
+        list(_sieve_hits(delta, shift, ceiling)) if lattice is None else lattice,
+    ]
+
+
 @pytest.mark.parametrize("delta,y0,k", [
     (539380302480054224472317, 5215, 284),
     (520310123191416198435324, 5239, 98),
     (895858577158747748733656, 4260, 241),
+    (28, 262, 3036998852),  # shift 2^63 - 1591244641196
+    (8, 0, 1 << 32),  # shift 2^64
+    (100000000000000003, 4999, -2917273),  # shift -2^63 - 2190223542170
+    (300000000000000002, 5987, -1406338),  # shift -2^63 + 2003863335495
+    (520310123191416198435326, 5239, -1500),  # shift about -1.1 * 10^19
 ])
 def test_square_hits_exact_past_int64(delta, y0, k):
-    # the radicand is about 10^31: a float square root of it is off by more
-    # than the gap a filter on its fractional part can tolerate
+    # the radicand is about 10^31, or the shift lies near or past +-2^63: a
+    # float square root is off by more than a filter on it can tolerate, and
+    # residues computed in int64 wrap or overflow
     root = math.isqrt(delta * y0 * y0) + k
     shift = root * root - delta * y0 * y0
     expected = [
@@ -247,22 +271,137 @@ def test_square_hits_exact_past_int64(delta, y0, k):
         if delta * y * y + shift >= 0 and is_perfect_square(delta * y * y + shift)[0]
     ]
     assert y0 in expected
+    assert _each_search(delta, shift, 6000) == [expected] * 3
+
+
+def test_representatives_with_shift_just_below_2_63():
+    # x^2 - 7y^2 = m with 4*a*m = 2^63 - 1591244641196: residues of the
+    # radicand computed in int64 wrap, and 10 of the 12 orbits go missing
+    form, m = QuadraticForm(1, 0, -7), 2305842611402533653
+    assert 4 * m == 2**63 - 1591244641196
+    assert len(representatives(form, m)) == 12
+    assert [s.pair() for s in solutions(form, m, count=6, positive=True)] == [
+        (1518500119, 262),
+        (1630981881, 224963262),
+        (1649728230, 243709611),
+        (2024666214, 506166357),
+        (2699556786, 843611643),
+        (2768293399, 874855558),
+    ]
+
+
+@pytest.mark.parametrize("d,m", [(26, 4611686731389051300), (17, 4611688389249605575)])
+def test_lattice_search_matches_sieve_for_right_hand_side_near_2_62(d, m, monkeypatch):
+    # x^2 - d*y^2 = m: the window holds about 2*10^9 values of y, which the
+    # sieve walks and the lattice search crosses in a few rows
+    form = QuadraticForm(1, 0, -d)
+    delta, shift, ceiling = form.delta, 4 * m, _search_ceiling(form, m)
+    expected = list(_sieve_hits(delta, shift, ceiling))
+    assert expected
+    assert _lattice_hits(delta, shift, ceiling) == expected
+
+    def sieve_called(*args):
+        raise AssertionError("the sieve was chosen")
+
+    monkeypatch.setattr(pellsolver, "_sieve_hits", sieve_called)
+    assert list(_square_radicand_hits(delta, shift, ceiling)) == expected
+
+
+def test_search_falls_back_to_sieve_when_delta_and_shift_share_a_large_prime():
+    # square roots of delta are not listed modulo a large prime dividing
+    # delta; the search falls back to the sieve
+    p, delta, y0 = 1000003, 1000003 * 7, 4321
+    root = p * (math.isqrt(7 * y0 * y0 // p) + 5)
+    shift = root * root - delta * y0 * y0
+    assert shift % p == 0
+    assert _lattice_hits(delta, shift, 6000) is None
+    expected = list(_exact_square_hits(delta, shift, range(6001)))
+    assert y0 in expected
     assert list(_square_radicand_hits(delta, shift, 6000)) == expected
+
+
+def test_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0xFAC7)
+    cases = [1, 2, 1 << 65, 3**40, 1021**2 * 1031]
+    for _ in range(8):  # two primes of 20 to 28 bits: Pollard's rho must split them
+        p, q = (sympy.nextprime(rng.randrange(1 << 20, 1 << 28)) for _ in range(2))
+        cases.append(p * q * rng.choice([1, 4, 1021, p]))
+    cases += [rng.randrange(1, 1 << 66) for _ in range(40)]
+    for n in cases:
+        assert _factor(n) == sympy.factorint(n), n
+
+
+def test_sqrt_mod_prime_power_lists_every_root():
+    for p, e in [(2, 1), (2, 7), (3, 4), (5, 3), (7, 2), (1021, 1)]:
+        q = p**e
+        for d in [*range(60), 5 * q, 8 * q + 4, q * q * 3]:
+            roots = [z for z in range(q) if (z * z - d) % q == 0]
+            assert sorted(_sqrt_mod_prime_power(d, p, e)) == roots, (d, p, e)
+    # large primes, 1 and 3 mod 4: Tonelli-Shanks modulo p, then Newton's step
+    for p in (1031, 998244353, 1000000007, 2**61 - 1):
+        for e in (1, 2, 3):
+            q = p**e
+            for d in [*range(1, 40), -7, q + 2]:
+                roots = _sqrt_mod_prime_power(d, p, e)
+                assert len(roots) == (2 if pow(d, (p - 1) // 2, p) == 1 else 0), (d, p, e)
+                assert all(0 <= z < q and (z * z - d) % q == 0 for z in roots), (d, p, e)
+        assert _sqrt_mod_prime_power(3 * p, p, 2) is None
+
+
+def test_sieve_equals_exact_scan():
+    # windows from 4096 to 2*10^5, odd and even delta up to 10^24, shifts of
+    # both signs: generic, within 10^13 of +-2^63, and past it; each shift is
+    # planted so that at least one y0 in the window, at times the ceiling
+    # itself, is a hit
+    rng = random.Random(0x5E7E)
+    for case in range(36):
+        ceiling = int(4096 * (2 * 10**5 / 4096) ** rng.random())
+        y0 = rng.randint(ceiling // 2, ceiling) if case % 5 else ceiling
+        sign = (-1) ** case
+        kind = case // 2 % 3
+        if kind == 0:  # generic
+            delta = rng.randint(2, 10**24)
+            target = sign * rng.randint(1, 10**18)
+        elif kind == 1:  # near +-2^63: the square root must stay below 5*10^12
+            if sign > 0:
+                delta = rng.randint(2, 10**14)
+            else:
+                delta = (2**63 + rng.randint(0, 10**24)) // (y0 * y0) + 2
+            target = sign * 2**63 + rng.randint(-10**12, 10**12)
+        else:  # past +-2^63
+            delta = rng.randint(2, 10**24)
+            target = sign * rng.randint(2**63, 2**80)
+        delta += (delta + case // 6) % 2  # alternate the parity of delta
+        # the shift nearest below target that makes delta*y0^2 + shift square
+        root = math.isqrt(max(0, delta * y0 * y0 + target))
+        shift = root * root - delta * y0 * y0
+        if kind == 1:
+            assert abs(shift - sign * 2**63) < 10**13
+        expected = list(_exact_square_hits(delta, shift, range(ceiling + 1)))
+        assert y0 in expected
+        assert _each_search(delta, shift, ceiling) == [expected] * 3, (delta, shift, ceiling)
+
+
+def _diop_dn_cases():
+    rng = random.Random(0xD10D)
+    cases = []
+    while len(cases) < 60:
+        D = rng.randrange(2, 350)
+        N = rng.choice([-1, 1]) * rng.randint(1, 30)
+        if len(cases) % 2:
+            # few random right-hand sides are solvable: plant (x, 1) in half
+            x = math.isqrt(D) + rng.randint(0, 1)
+            N = x * x - D
+        if math.isqrt(D) ** 2 != D and 0 < abs(N) <= 30:
+            cases.append((D, N))
+    # 4*N just below 2^63, and 4*N = 2^64
+    return cases + [(7, 2305842611402533653), (2, 4611686018427387904)]
 
 
 def test_solvability_and_fundamental_solutions_match_diop_dn():
     sympy_diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
-    rng = random.Random(0xD10D)
-    checked = 0
-    while checked < 60:
-        D = rng.randrange(2, 350)
-        N = rng.choice([-1, 1]) * rng.randint(1, 30)
-        if checked % 2:
-            # few random right-hand sides are solvable: plant (x, 1) in half
-            x = math.isqrt(D) + rng.randint(0, 1)
-            N = x * x - D
-        if math.isqrt(D) ** 2 == D or not 0 < abs(N) <= 30:
-            continue
+    for D, N in _diop_dn_cases():
         form = QuadraticForm(1, 0, -D)
         fundamental = sympy_diophantine.diop_DN(D, N)
         assert bool(solutions(form, N, count=1, positive=True)) == bool(fundamental), (D, N)
@@ -271,4 +410,3 @@ def test_solvability_and_fundamental_solutions_match_diop_dn():
             stream = {s.pair() for s in solutions(form, N, xbound=xbound)}
             for x, y in fundamental:
                 assert (x, y) in stream and (x, -y) in stream, (D, N, x, y)
-        checked += 1
