@@ -170,17 +170,8 @@ def _bounded_orbit(row, matrix, inverse, steps=32):
 
 
 _CEILING_LIMIT = 10**12
-# prime powers whose square-residue tables sieve y0
-_SIEVE_MODULI = (
-    64, 27, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41,
-    43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-)
-_SIEVE_CHUNK = 1 << 22  # largest candidate array
-# the lattice search takes windows it crosses in at most this many rows
-_LATTICE_ROWS = 1 << 8
-_LATTICE_ROOTS = 1 << 12  # most square roots of delta it lists per modulus
-# Pollard's rho splits n in about n^(1/4) steps: at most about 2^17 here
-_FACTOR_LIMIT = 1 << 66
+# Pollard-Brent gives up on a number it has not split in this many steps
+_RHO_STEPS = 1 << 20
 # Miller-Rabin on these bases is exact below 3.3 * 10^24
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -208,10 +199,15 @@ def _is_prime(n: int) -> bool:
 
 
 def _rho_factor(n: int) -> int | None:
-    """A proper factor of the odd composite ``n`` by Pollard-Brent, or None."""
+    """A proper factor of the odd composite ``n`` by Pollard-Brent, or None
+    when ``_RHO_STEPS`` steps have not split it."""
+    steps = 0
     for c in range(1, 8):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -235,7 +231,11 @@ def _rho_factor(n: int) -> int | None:
 
 
 def _factor(n: int) -> dict[int, int] | None:
-    """``{prime: exponent}`` of ``0 < n < _FACTOR_LIMIT``, or None if Pollard's rho fails."""
+    """``{prime: exponent}`` of ``n > 0``, or None if Pollard-Brent gives up.
+
+    A factor above 3.3 * 10^24 that passes Miller-Rabin on ``_WITNESSES`` is
+    taken for a prime.
+    """
     out: dict[int, int] = {}
     for p in range(2, 1 << 10):  # a composite p never divides what is left
         while n % p == 0:
@@ -274,114 +274,60 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
-def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int] | None:
+def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
     """Every ``z`` in ``[0, p^e)`` with ``z^2 = d (mod p^e)``, for ``e >= 1``.
 
     Below 2^10 the roots are lifted one power of ``p`` at a time by trying
-    every digit; a larger prime lifts the two roots modulo ``p`` by Newton's
-    step.  None when a prime above 2^10 divides ``d`` or the roots number
-    more than ``_LATTICE_ROOTS``.
+    every digit.  For a larger prime, let ``p^k`` be the largest power of
+    ``p`` dividing both ``d`` and ``p^e``.  With ``k = e`` the roots are the
+    multiples of ``p^ceil(e/2)``; an odd ``k < e`` leaves none; an even one
+    gives ``p^(k/2) * u`` for the two roots ``u`` of ``d/p^k`` modulo
+    ``p^(e-k)`` (Tonelli-Shanks modulo ``p``, lifted by Newton's step), each
+    with its ``p^(k/2)`` lifts modulo ``p^e``.
     """
     if p < 1 << 10:
         roots, q = [0], 1
         for _ in range(e):
             roots = [z for r in roots for z in range(r, r + p * q, q) if (z * z - d) % (p * q) == 0]
             q *= p
-            if len(roots) > _LATTICE_ROOTS:
-                return None
         return roots
-    if d % p == 0:
-        return None
-    z = _sqrt_mod_prime(d % p, p)
+    k = 0
+    while k < e and d % p**(k + 1) == 0:
+        k += 1
+    if k == e:
+        return list(range(0, p**e, p**((e + 1) // 2)))
+    if k % 2:
+        return []
+    u = d // p**k
+    z = _sqrt_mod_prime(u % p, p)
     if z is None:
         return []
     q = p
-    for _ in range(e - 1):
+    for _ in range(e - k - 1):
         q *= p
-        z = (z - (z * z - d) * pow(2 * z, -1, q)) % q
-    return [z, q - z]
+        z = (z - (z * z - u) * pow(2 * z, -1, q)) % q
+    half = p**(k // 2)
+    return [half * (s + t * q) for s in (z, q - z) for t in range(half)]
 
 
-def _hyperbola_rows(delta: int, n: int, modulus: int, z: int, bound: int):
-    """``|y|`` of each ``(w, y)`` with ``w^2 - delta*y^2 = n`` and ``w = z*y``
-    modulo ``modulus``, if ``w^2 + delta*y^2 <= bound``.
+def _convergent_hits(delta: int, n: int, z: int, top: int):
+    """``B`` of each convergent ``G/B`` of ``(z + sqrt(delta))/|n|`` with
+    ``G^2 - delta*B^2 = n`` and ``B <= top``.
 
-    The pairs with ``w = z*y`` form a lattice of determinant ``modulus``.  A basis ``u, v``
-    reduced for ``w^2 + delta*y^2`` keeps the row index ``j`` of a point
-    ``i*u + j*v`` inside the ellipse small; on each row ``w^2 - delta*y^2 = n``
-    is a quadratic in ``i``, solved exactly.
+    ``G_i = |n|*A_i - z*B_i`` for the convergents ``A_i/B_i``; the complete
+    quotient ``(P_i + sqrt(delta))/Q_i`` has ``G_(i-1)^2 - delta*B_(i-1)^2 =
+    +-Q_i*|n|``, so only an index with ``Q_i = +-1`` can give a hit.
     """
-    def dot(a, b):
-        return a[0] * b[0] + delta * a[1] * b[1]
-
-    u, v = (modulus, 0), (z, 1)
-    if dot(v, v) < dot(u, u):
-        u, v = v, u
-    while True:  # Lagrange reduction: u is a shortest vector
-        k = (2 * dot(u, v) + dot(u, u)) // (2 * dot(u, u))
-        v = (v[0] - k * u[0], v[1] - k * u[1])
-        if dot(v, v) >= dot(u, u):
-            break
-        u, v = v, u
-    gram = delta * modulus * modulus  # dot(u,u)*dot(v,v) - dot(u,v)^2
-    fu = u[0] * u[0] - delta * u[1] * u[1]  # nonzero: delta is not a square
-    fuv = u[0] * v[0] - delta * u[1] * v[1]
-    # dot(u,u) * (w^2 + delta*y^2) >= gram * j^2
-    rows = isqrt(dot(u, u) * bound // gram)
-    for j in range(-rows, rows + 1):
-        # F(i*u + j*v) = fu*i^2 + 2*fuv*i*j + F(v)*j^2 = n, F = w^2 - delta*y^2,
-        # is a quadratic in i with discriminant/4 equal to gram*j^2 + fu*n
-        disc = gram * j * j + fu * n
-        if disc < 0:
-            continue
-        s = isqrt(disc)
-        if s * s != disc:
-            continue
-        for num in {s - fuv * j, -s - fuv * j}:
-            if num % fu == 0:
-                yield abs(num // fu * u[1] + j * v[1])
-
-
-def _lattice_hits(delta: int, shift: int, ceiling: int) -> list[int] | None:
-    """All ``y0`` in ``[0, ceiling]``, ascending, with ``delta*y0^2 + shift`` square.
-
-    A solution of ``w^2 - delta*y^2 = shift`` with ``gcd(w, y) = g`` has
-    ``g^2 | shift``, and ``(w, y)/g`` has ``w = z*y`` modulo ``|shift|/g^2``
-    for a square root ``z`` of ``delta``.  The shift is factored, and for
-    each ``g`` and ``z`` the points of that lattice are read off row by row.
-    Each lattice takes about ``ceiling * (4*delta/shift^2)^(1/4)`` rows,
-    however wide the window.  None when the shift cannot be factored or the
-    square roots of ``delta`` cannot be listed.
-    """
-    factors = _factor(abs(shift))
-    if factors is None:
-        return None
-    scales = [(1, [])]  # (g, [(p, exponent of p in shift/g^2)])
-    for p, e in factors.items():
-        scales = [(g * p**f, parts + [(p, e - 2 * f)])
-                  for g, parts in scales for f in range(e // 2 + 1)]
-    hits = set()
-    for g, parts in scales:
-        n, top = shift // (g * g), ceiling // g
-        bound = 2 * delta * top * top + n  # w^2 + delta*y^2 of a solution with y <= top
-        if bound < 0:
-            continue
-        roots, modulus = [0], 1
-        for p, e in parts:
-            if e == 0:
-                continue
-            found = _sqrt_mod_prime_power(delta, p, e)
-            if found is None:
-                return None
-            q = p**e
-            inv = pow(modulus, -1, q)
-            roots = [r + modulus * ((s - r) * inv % q) for r in roots for s in found]
-            modulus *= q
-            if len(roots) > _LATTICE_ROOTS:
-                return None
-        for z in roots:
-            hits.update(g * y for y in _hyperbola_rows(delta, n, modulus, z, bound) if y <= top)
-    return sorted(hits)
+    s = isqrt(delta)
+    P, Q = z, abs(n)
+    G, G2, B, B2 = Q, -P, 0, 1  # (G, B) at i-1 and i-2, starting from i = 0
+    while B <= top:
+        if Q in (1, -1) and G * G - delta * B * B == n:
+            yield B
+        a = (P + s + (Q < 0)) // Q  # floor of the complete quotient, sqrt irrational
+        G, G2, B, B2 = a * G + G2, G, a * B + B2, B
+        P = a * Q - P
+        Q = (delta - P * P) // Q
 
 
 def _exact_square_hits(delta, shift, ys):
@@ -392,64 +338,23 @@ def _exact_square_hits(delta, shift, ys):
             yield y0
 
 
-def _sieve_hits(delta: int, shift: int, ceiling: int):
-    """All ``y0`` in ``[0, ceiling]``, ascending, with ``delta*y0^2 + shift`` square.
-
-    Modulo each prime power ``p`` of ``_SIEVE_MODULI`` a square radicand
-    needs ``y0 mod p`` in a small table, built from ``delta mod p`` and
-    ``shift mod p``.  The residues of ``y0`` are lifted one table at a time
-    by the Chinese remainder theorem, most selective first, while the
-    combined modulus stays within the window and the residue array within
-    ``_SIEVE_CHUNK`` entries; the tables left over filter the candidates,
-    which numpy enumerates in chunks of that size.  Every survivor is
-    confirmed by an integer square root of its big-int radicand, so no
-    fixed-width or floating-point value decides a hit.  The work grows
-    with ``ceiling``.
-    """
-    import numpy as np
-
-    tables = []
-    for p in _SIEVE_MODULI:
-        r = np.arange(p, dtype=np.int64)
-        squares = np.zeros(p, dtype=bool)
-        squares[r * r % p] = True
-        ok = squares[(delta % p * r * r + shift % p) % p]
-        if not ok.any():
-            return
-        if not ok.all():
-            tables.append((p, ok))
-    tables.sort(key=lambda t: Fraction(int(t[1].sum()), t[0]))  # most selective first
-    modulus, residues, rest = 1, np.zeros(1, dtype=np.int64), []
-    for p, ok in tables:
-        if modulus * p <= ceiling + 1 and len(residues) * p <= _SIEVE_CHUNK:
-            # rows k = 0..p-1 of residues + k*modulus: ascending when raveled
-            lifted = (residues + modulus * np.arange(p, dtype=np.int64)[:, None]).ravel()
-            residues = lifted[ok[lifted % p]]
-            modulus *= p
-        else:
-            rest.append((p, ok))
-    span = modulus * max(1, _SIEVE_CHUNK // len(residues))
-    for lo in range(0, ceiling + 1, span):
-        bases = np.arange(lo, min(lo + span, ceiling + 1), modulus, dtype=np.int64)
-        y = (bases[:, None] + residues).ravel()
-        for p, ok in rest:
-            y = y[ok[y % p]]
-        for y0 in y[y <= ceiling].tolist():
-            rad = delta * y0 * y0 + shift
-            if rad >= 0 and isqrt(rad) ** 2 == rad:
-                yield y0
-
-
 def _square_radicand_hits(delta: int, shift: int, ceiling: int):
     """All ``y0`` in ``[0, ceiling]``, ascending, with ``delta*y0^2 + shift`` square.
 
-    Small windows are scanned one ``y0`` at a time.  A larger window is
-    searched on the lattices of ``_lattice_hits`` when the shift is large
-    enough for them to cross it in at most ``_LATTICE_ROWS`` rows (the
-    estimate ``ceiling * (4*delta/shift^2)^(1/4)``), and otherwise, or when
-    the shift cannot be factored, sieved by ``_sieve_hits``.  Both are exact.
-    Ceilings beyond 10^12 (fundamental unit around 10^25) are out of
-    practical range for this scan method and are rejected.
+    ``delta`` is a non-square of at least 5.  Small windows are scanned one
+    ``y0`` at a time.  A larger window is searched by the
+    Lagrange-Matthews-Mollin reduction: a hit is a solution of
+    ``w^2 - delta*y0^2 = shift`` with ``w >= 0``; with ``g = gcd(w, y0)``,
+    ``g^2`` divides the shift, and ``(w, y0)/g`` solves the equation for
+    ``n = shift/g^2`` with ``w = -z*y0/g`` modulo ``|n|`` for a square root
+    ``z`` of ``delta``.  As ``delta >= 5``, Legendre's criterion makes
+    ``(w, y0)/g`` a convergent of ``(z + sqrt(delta))/|n|``, found by
+    ``_convergent_hits`` in ``O(log ceiling)`` steps, however wide the
+    window or large the unit.  A prime square dividing both ``delta`` and
+    the shift also divides ``w^2``, so it is first divided out of both
+    while ``delta`` stays at least 5, which keeps the square roots few.
+    Ceilings beyond 10^12 are rejected, as is a shift that Pollard-Brent
+    cannot factor.
     """
     if ceiling < 4096:
         yield from _exact_square_hits(delta, shift, range(ceiling + 1))
@@ -459,12 +364,30 @@ def _square_radicand_hits(delta: int, shift: int, ceiling: int):
             "representative search ceiling exceeds 10^12; the fundamental "
             "unit is too large for the scan method"
         )
-    if abs(shift) < _FACTOR_LIMIT and 2 * isqrt(delta) * ceiling**2 <= _LATTICE_ROWS**2 * abs(shift):
-        hits = _lattice_hits(delta, shift, ceiling)
-        if hits is not None:
-            yield from hits
-            return
-    yield from _sieve_hits(delta, shift, ceiling)
+    factors = _factor(abs(shift))
+    if factors is None:
+        raise ValueError(
+            "4*a*m could not be factored; the representative search needs its prime factors"
+        )
+    scales = [(1, [])]  # (g, [(p, exponent of p in shift/g^2)])
+    for p, e in factors.items():
+        while e >= 2 and delta % (p * p) == 0 and delta > 4 * p * p:
+            delta, shift, e = delta // (p * p), shift // (p * p), e - 2
+        scales = [(g * p**f, parts + [(p, e - 2 * f)])
+                  for g, parts in scales for f in range(e // 2 + 1)]
+    hits = set()
+    for g, parts in scales:
+        roots, modulus = [0], 1
+        for p, e in parts:
+            if e:
+                q = p**e
+                inv = pow(modulus, -1, q)
+                roots = [r + modulus * ((s - r) * inv % q)
+                         for r in roots for s in _sqrt_mod_prime_power(delta, p, e)]
+                modulus *= q
+        for z in roots:
+            hits.update(g * y for y in _convergent_hits(delta, shift // (g * g), z, ceiling // g))
+    yield from sorted(hits)
 
 
 def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import balance_forge
+from balance_forge import pellsolver
 from balance_forge.cli import main
 from balance_forge.sequences import SequenceKind, term
 
@@ -88,6 +93,37 @@ def test_solve_right_hand_side_past_int64(capsys):
     code, out, _ = run(capsys, "solve", "1", "0", "-2", "4611686018427387904", "--count", "2")
     assert code == 0
     assert out.splitlines() == ["(6442450944,4294967296)", "(36507222016,25769803776)"]
+
+
+SOLVE_277 = ["solve", "1", "0", "-277", "7", "--count", "3"]
+SOLVED_277 = [
+    "(50,3)",
+    "(11148314456383338830,669837296959923453)",
+    "(15903859065441664246070,955570280090842778547)",
+]
+
+
+def test_solve_wide_window_without_numpy():
+    # x^2 - 277y^2 = 7 searches a window of 1.4*10^9 values of y
+    script = (
+        "import sys\n"
+        "from balance_forge.cli import main\n"
+        f"code = main({SOLVE_277!r})\n"
+        "assert 'numpy' not in sys.modules\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(balance_forge.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == SOLVED_277
+
+
+def test_solve_unfactorable_right_hand_side_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(pellsolver, "_factor", lambda n: None)
+    code, out, err = run(capsys, *SOLVE_277)
+    assert (code, out) == (2, "")
+    assert err == "4*a*m could not be factored; the representative search needs its prime factors\n"
 
 
 def test_solve_degenerate_form(capsys):

@@ -4,15 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from balance_forge import pellsolver
 from balance_forge.pellsolver import (
     OrbitMatrix,
     QuadraticForm,
     _exact_square_hits,
     _factor,
-    _lattice_hits,
     _search_ceiling,
-    _sieve_hits,
     _sqrt_mod_prime_power,
     _square_radicand_hits,
     brute_force_solutions,
@@ -239,17 +236,6 @@ def test_rep_bound_is_the_exact_bound_rounded_up_below_2000():
             assert bound - ulp < 0 or (bound - ulp) ** 2 <= u2, (form, m)
 
 
-def _each_search(delta, shift, ceiling):
-    # the chosen search, the sieve and the lattice search (or the sieve again
-    # where the shift cannot be factored)
-    lattice = _lattice_hits(delta, shift, ceiling)
-    return [
-        list(_square_radicand_hits(delta, shift, ceiling)),
-        list(_sieve_hits(delta, shift, ceiling)),
-        list(_sieve_hits(delta, shift, ceiling)) if lattice is None else lattice,
-    ]
-
-
 @pytest.mark.parametrize("delta,y0,k", [
     (539380302480054224472317, 5215, 284),
     (520310123191416198435324, 5239, 98),
@@ -271,7 +257,7 @@ def test_square_hits_exact_past_int64(delta, y0, k):
         if delta * y * y + shift >= 0 and is_perfect_square(delta * y * y + shift)[0]
     ]
     assert y0 in expected
-    assert _each_search(delta, shift, 6000) == [expected] * 3
+    assert list(_square_radicand_hits(delta, shift, 6000)) == expected
 
 
 def test_representatives_with_shift_just_below_2_63():
@@ -290,31 +276,32 @@ def test_representatives_with_shift_just_below_2_63():
     ]
 
 
+# hits of the former residue sieve, which walked the whole window
+NEAR_2_62_HITS = {
+    26: [336, 45461472, 70319928, 123698316, 171799068, 198701412, 218060052,
+         250122516, 266770140, 404557104, 428965824, 464866584, 530179440,
+         535278408, 606348960, 757934772, 855935556, 913204236, 1018757460,
+         1065049860, 1396483368, 1446426240, 1717985640, 1918905240],
+    17: [45, 352707115, 1356305685, 1650147795],
+}
+
+
 @pytest.mark.parametrize("d,m", [(26, 4611686731389051300), (17, 4611688389249605575)])
-def test_lattice_search_matches_sieve_for_right_hand_side_near_2_62(d, m, monkeypatch):
-    # x^2 - d*y^2 = m: the window holds about 2*10^9 values of y, which the
-    # sieve walks and the lattice search crosses in a few rows
+def test_lattice_search_matches_sieve_for_right_hand_side_near_2_62(d, m):
+    # x^2 - d*y^2 = m: the window holds about 2*10^9 values of y
     form = QuadraticForm(1, 0, -d)
     delta, shift, ceiling = form.delta, 4 * m, _search_ceiling(form, m)
-    expected = list(_sieve_hits(delta, shift, ceiling))
-    assert expected
-    assert _lattice_hits(delta, shift, ceiling) == expected
-
-    def sieve_called(*args):
-        raise AssertionError("the sieve was chosen")
-
-    monkeypatch.setattr(pellsolver, "_sieve_hits", sieve_called)
-    assert list(_square_radicand_hits(delta, shift, ceiling)) == expected
+    assert ceiling > 2 * 10**9
+    assert list(_square_radicand_hits(delta, shift, ceiling)) == NEAR_2_62_HITS[d]
 
 
 def test_search_falls_back_to_sieve_when_delta_and_shift_share_a_large_prime():
-    # square roots of delta are not listed modulo a large prime dividing
-    # delta; the search falls back to the sieve
+    # p^2 divides delta*y0^2 + shift, so p divides the shift: square roots
+    # of delta are listed modulo a power of a large prime dividing it
     p, delta, y0 = 1000003, 1000003 * 7, 4321
     root = p * (math.isqrt(7 * y0 * y0 // p) + 5)
     shift = root * root - delta * y0 * y0
     assert shift % p == 0
-    assert _lattice_hits(delta, shift, 6000) is None
     expected = list(_exact_square_hits(delta, shift, range(6001)))
     assert y0 in expected
     assert list(_square_radicand_hits(delta, shift, 6000)) == expected
@@ -346,7 +333,27 @@ def test_sqrt_mod_prime_power_lists_every_root():
                 roots = _sqrt_mod_prime_power(d, p, e)
                 assert len(roots) == (2 if pow(d, (p - 1) // 2, p) == 1 else 0), (d, p, e)
                 assert all(0 <= z < q and (z * z - d) % q == 0 for z in roots), (d, p, e)
-        assert _sqrt_mod_prime_power(3 * p, p, 2) is None
+        assert _sqrt_mod_prime_power(3 * p, p, 2) == []  # an odd v_p has no root
+    # a large prime dividing d: v_p(d) = 1, 2, 3 against e = 1, 2, 3
+    for p, exponents in ((1031, (1, 2, 3)), (1000003, (1, 2))):
+        for e in exponents:
+            q = p**e
+            for v in (1, 2, 3):
+                for u in (1, 7):  # a square and a non-square modulo p
+                    d = p**v * u
+                    roots = sorted(_sqrt_mod_prime_power(d, p, e))
+                    if q <= 1031**2:  # p divides d, so every root is a multiple of p
+                        brute = [z for z in range(0, q, p) if (z * z - d) % q == 0]
+                        assert roots == brute, (d, p, e)
+                        continue
+                    if v >= e:  # the multiples of p^ceil(e/2)
+                        count = p ** (e // 2)
+                    elif v % 2:
+                        count = 0
+                    else:
+                        count = 2 * p ** (v // 2) if pow(u, (p - 1) // 2, p) == 1 else 0
+                    assert len(roots) == len(set(roots)) == count, (d, p, e)
+                    assert all(0 <= z < q and (z * z - d) % q == 0 for z in roots[::997]), (d, p, e)
 
 
 def test_sieve_equals_exact_scan():
@@ -380,7 +387,8 @@ def test_sieve_equals_exact_scan():
             assert abs(shift - sign * 2**63) < 10**13
         expected = list(_exact_square_hits(delta, shift, range(ceiling + 1)))
         assert y0 in expected
-        assert _each_search(delta, shift, ceiling) == [expected] * 3, (delta, shift, ceiling)
+        hits = list(_square_radicand_hits(delta, shift, ceiling))
+        assert hits == expected, (delta, shift, ceiling)
 
 
 def _diop_dn_cases():
@@ -395,6 +403,16 @@ def _diop_dn_cases():
             N = x * x - D
         if math.isqrt(D) ** 2 != D and 0 < abs(N) <= 30:
             cases.append((D, N))
+    # D < 2000 and |N| up to 10^6, every other one planted solvable
+    while len(cases) < 100:
+        D = rng.randrange(2, 2000)
+        N = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        if len(cases) % 2:
+            y = rng.randint(1, 30)
+            x = math.isqrt(D * y * y) + rng.randint(0, 20)
+            N = x * x - D * y * y
+        if math.isqrt(D) ** 2 != D and 0 < abs(N) <= 10**6:
+            cases.append((D, N))
     # 4*N just below 2^63, and 4*N = 2^64
     return cases + [(7, 2305842611402533653), (2, 4611686018427387904)]
 
@@ -404,6 +422,10 @@ def test_solvability_and_fundamental_solutions_match_diop_dn():
     for D, N in _diop_dn_cases():
         form = QuadraticForm(1, 0, -D)
         fundamental = sympy_diophantine.diop_DN(D, N)
+        if _search_ceiling(form, N) > 10**12:  # refused: the search window is too wide
+            with pytest.raises(ValueError, match="ceiling exceeds 10\\^12"):
+                solutions(form, N, count=1)
+            continue
         assert bool(solutions(form, N, count=1, positive=True)) == bool(fundamental), (D, N)
         if fundamental:
             xbound = max(1, max(abs(x) for x, _ in fundamental))
