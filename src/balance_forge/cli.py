@@ -9,6 +9,7 @@ one self-contained JSON object per line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("kind", help=f"sequence name ({' '.join(KIND_BY_NAME)})")
     gen.add_argument("start", type=int)
     gen.add_argument("stop", type=int)
-    gen.add_argument("--format", choices=_FORMATS, default=_default_format())
+    gen.add_argument("--format", choices=_FORMATS, default=None)
     gen.set_defaults(fn=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve a*x^2 + b*x*y + c*y^2 = m")
@@ -134,21 +135,25 @@ def build_parser() -> argparse.ArgumentParser:
     limit.add_argument("--xbound", type=int, help="emit all solutions with |x| <= bound")
     solve.add_argument("--all", action="store_true",
                        help="emit the full signed set instead of x>0, y>0")
-    solve.add_argument("--format", choices=_FORMATS, default=_default_format())
+    solve.add_argument("--format", choices=_FORMATS, default=None)
     solve.set_defaults(fn=_cmd_solve)
 
     ver = sub.add_parser("verify", help="check cataloged identities exactly")
     ver.add_argument("id", help="identity or group id, or 'all'")
     ver.add_argument("--upto", type=int, required=True, metavar="N")
     ver.add_argument("--pell-count", type=int, default=10, metavar="K")
-    ver.add_argument("--format", choices=_FORMATS, default=_default_format())
+    ver.add_argument("--format", choices=_FORMATS, default=None)
     ver.set_defaults(fn=_cmd_verify)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on first use; parse_args keeps no state
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    args.format = args.format or _default_format()
     # print values of any size in full; CPython before 3.10.7 has no limit
     if not hasattr(sys, "set_int_max_str_digits"):
         return args.fn(args)

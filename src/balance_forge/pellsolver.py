@@ -152,8 +152,11 @@ def _search_ceiling(form: QuadraticForm, m: int) -> int:
     return int(rep_bound(form, m)) + 1
 
 
-def _bounded_orbit(row, matrix, inverse, steps=32):
-    """Rows reachable from ``row`` within ``steps`` matrix steps.
+def _bounded_orbit(row, matrix, inverse, ceiling, steps=32):
+    """Rows within ``steps`` matrix steps of ``row`` (``0 <= y <= ceiling``),
+    each walk stopping at its first ``|y| > ceiling``: as ``y = (w*t^k -
+    w'*t^-k)/sqrt(delta)`` for ``w = a*x + y*(b + sqrt(delta))/2`` and the unit
+    ``t > 1``, ``|y|`` never rises and then falls, so no later row is in the window.
 
     Sign-flipped images are deliberately not included: a row and its
     flipped power image count as distinct representatives, matching the
@@ -166,6 +169,8 @@ def _bounded_orbit(row, matrix, inverse, steps=32):
         for _ in range(steps):
             cur = mat.apply(cur)
             out.add(cur)
+            if abs(cur[1]) > ceiling:
+                break
     return out
 
 
@@ -400,8 +405,9 @@ def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
     if m == 0:
         raise ValueError("degenerate right-hand side")
     delta, a, b = form.delta, form.a, form.b
+    ceiling = _search_ceiling(form, m)
     found = set()
-    for y0 in _square_radicand_hits(delta, 4 * a * m, _search_ceiling(form, m)):
+    for y0 in _square_radicand_hits(delta, 4 * a * m, ceiling):
         ok, root = is_perfect_square(delta * y0 * y0 + 4 * a * m)
         if not ok:
             raise AssertionError("scan produced a non-square radicand")
@@ -420,7 +426,7 @@ def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
         if rep in absorbed:
             continue
         kept.append(rep)
-        absorbed |= _bounded_orbit(rep, matrix, inverse)
+        absorbed |= _bounded_orbit(rep, matrix, inverse, ceiling)
     return kept
 
 
@@ -467,7 +473,8 @@ def solutions(
 
     Exactly one of ``count`` (number of emitted solutions) or ``xbound``
     (emit everything with ``|x| <= xbound``) bounds the stream; both may be
-    given.  ``positive`` restricts emission to ``x > 0, y > 0``.
+    given.  ``positive`` restricts emission to ``x > 0, y > 0``, a finite set
+    when ``a``, ``b``, ``c`` share a sign: ``count`` may then emit fewer.
     """
     if m == 0:
         raise ValueError("degenerate right-hand side")
@@ -475,6 +482,8 @@ def solutions(
         raise ValueError("limit required")
     if (count is not None and count < 1) or (xbound is not None and xbound < 1):
         raise ValueError("limit positive")
+    if positive and form.a * form.b > 0 and form.a * form.c > 0:  # |F| >= |a|*x^2 there
+        xbound = min(xbound or math.inf, isqrt(abs(m) // abs(form.a)))
     reps = representatives(form, m)
     if not reps:
         return []

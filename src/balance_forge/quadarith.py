@@ -37,6 +37,15 @@ def _residue_table(m: int) -> bytes:
 # a square is a quadratic residue modulo 64, 63, 65 and 11; together the
 # four tables pass about 1 non-square in 120 on to the square root
 _SQUARES_64, _SQUARES_63, _SQUARES_65, _SQUARES_11 = map(_residue_table, (64, 63, 65, 11))
+SQUARE_RESIDUE_MODULUS = 64 * 45045  # 45045 = 63 * 65 * 11
+
+
+def square_residue(v: int) -> bool:
+    """Whether ``v`` is a square modulo ``SQUARE_RESIDUE_MODULUS`` (by CRT)."""
+    if not _SQUARES_64[v & 63]:
+        return False
+    r = v % 45045
+    return bool(_SQUARES_63[r % 63] and _SQUARES_65[r % 65] and _SQUARES_11[r % 11])
 
 
 def is_perfect_square(x: int) -> tuple[bool, int | None]:
@@ -46,10 +55,7 @@ def is_perfect_square(x: int) -> tuple[bool, int | None]:
     """
     if x < 0:
         raise ValueError("negative radicand")
-    if not _SQUARES_64[x & 63]:
-        return False, None
-    r = x % 45045  # 63 * 65 * 11
-    if not (_SQUARES_63[r % 63] and _SQUARES_65[r % 65] and _SQUARES_11[r % 11]):
+    if not square_residue(x):
         return False, None
     root = math.isqrt(x)
     if root * root == x:

@@ -50,7 +50,7 @@ from functools import partial
 from itertools import count
 from types import SimpleNamespace
 
-from .quadarith import QuadInt, is_perfect_square, quad_pow
+from .quadarith import SQUARE_RESIDUE_MODULUS, QuadInt, is_perfect_square, quad_pow, square_residue
 
 
 class SequenceKind(Enum):
@@ -278,8 +278,8 @@ def is_member(kind: SequenceKind, x: int) -> tuple[bool, int | None]:
     if row is None:
         raise ValueError("no membership criterion")
     s, t = row[0]
-    rad = 8 * x * x + 8 * s * x + t
-    if rad < 0:
+    r = x % SQUARE_RESIDUE_MODULUS  # most non-members fail on residues alone
+    if not square_residue(8 * r * (r + s) + t) or (rad := 8 * x * x + 8 * s * x + t) < 0:
         return False, None
     return is_perfect_square(rad)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import balance_forge
-from balance_forge import pellsolver
+from balance_forge import cli, pellsolver
 from balance_forge.cli import main
 from balance_forge.sequences import SequenceKind, term
 
@@ -126,6 +126,19 @@ def test_solve_unfactorable_right_hand_side_exits_two(capsys, monkeypatch):
     assert err == "4*a*m could not be factored; the representative search needs its prime factors\n"
 
 
+def test_solve_count_stops_on_a_finite_positive_set():
+    # a, b and c of one sign leave finitely many solutions with x, y > 0
+    env = {**os.environ, "PYTHONPATH": str(Path(balance_forge.__file__).parents[1])}
+    for argv, expected in [
+        (["1", "5", "3", "-3", "--count", "2"], ""),  # F > 0 there: none
+        (["2", "6", "1", "-6", "--count", "4"], ""),
+        (["1", "5", "3", "9", "--count", "4"], "(1,1)\n"),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "balance_forge", "solve", *argv],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
 def test_solve_degenerate_form(capsys):
     code, _, err = run(capsys, "solve", "1", "0", "-4", "5", "--count", "1")
     assert code == 2
@@ -236,3 +249,37 @@ def test_format_env_default(capsys, monkeypatch):
     code, out, _ = run(capsys, "gen", "B", "0", "1")
     assert code == 0
     assert out.splitlines() == ["0", "1"]
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
+    built, build = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert run(capsys, "gen", "B", "0", "1") == (0, "0\n1\n", "")
+    # the variable is read on every call, not when the parser was built
+    monkeypatch.setenv("BALANCE_FORGE_FORMAT", "jsonl")
+    code, out, _ = run(capsys, "gen", "B", "0", "1")
+    assert code == 0
+    assert [json.loads(line)["value"] for line in out.splitlines()] == [0, 1]
+    assert len(built) <= 1
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "verify"])
+def test_help_and_usage_errors_survive_parser_reuse(capsys, command):
+    def printed(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        return exc.value.code, *capsys.readouterr()
+
+    fresh = printed(lambda: cli.build_parser().parse_args([command, "--help"]))
+    assert fresh[0] == 0 and fresh[1].startswith("usage: balance-forge " + command)
+    assert printed(lambda: main([command, "--help"])) == fresh
+    usage_error = printed(lambda: main([command, "--bogus"]))
+    assert usage_error[:2] == (2, "")
+    assert usage_error[2].startswith("usage: balance-forge " + command) and "error:" in usage_error[2]
+    assert printed(lambda: main([command, "--help"])) == fresh

@@ -102,6 +102,69 @@ def test_orbit_closure():
                 assert form.evaluate(x, y) == m
 
 
+def _full_walk_merge(form, m):
+    """``representatives`` with the former merge: each kept row absorbs 32
+    matrix steps either way, wherever the walk goes."""
+    delta, a, b = form.delta, form.a, form.b
+    found = set()
+    for y0 in _square_radicand_hits(delta, 4 * a * m, _search_ceiling(form, m)):
+        root = math.isqrt(delta * y0 * y0 + 4 * a * m)
+        for s in {root, -root}:
+            if (s - b * y0) % (2 * a) == 0:
+                found.add(((s - b * y0) // (2 * a), y0))
+    matrix = orbit_matrix(form)
+    kept, absorbed = [], set()
+    for rep in sorted(found):
+        if rep in absorbed:
+            continue
+        kept.append(rep)
+        for mat in (matrix, matrix.inverse()):
+            row = rep
+            for _ in range(32):
+                row = mat.apply(row)
+                absorbed.add(row)
+    return kept
+
+
+def test_window_merge_equals_full_walk_merge():
+    rng = random.Random(0x0B17)
+    kinds = set()
+    checked = 0
+    while checked < 600:
+        form = _random_form(rng)
+        if form is None:
+            continue
+        if rng.random() < 0.5:  # plant a row, so about half are solvable
+            m = form.evaluate(rng.randint(-40, 40), rng.randint(0, 40))
+        else:
+            m = rng.choice((-1, 1)) * rng.randint(1, 2000)
+        if m == 0 or _search_ceiling(form, m) > 10**7:
+            continue
+        assert representatives(form, m) == _full_walk_merge(form, m), (form, m)
+        kinds.add((form.a < 0, form.b % 2, form.a * m > 0))
+        checked += 1
+    assert len(kinds) == 8
+
+
+def test_y_along_an_orbit_never_rises_then_falls():
+    # y_k = (w*t^k - w'*t^-k)/sqrt(delta): the window merge relies on it
+    rng = random.Random(0x1E44A)
+    for _ in range(300):
+        form = _random_form(rng)
+        row = (rng.randint(-50, 50), rng.randint(-50, 50))
+        if form is None or row == (0, 0):
+            continue
+        matrix = orbit_matrix(form)
+        row = matrix.power(-20).apply(row)
+        ys = []
+        for _ in range(41):
+            ys.append(abs(row[1]))
+            row = matrix.apply(row)
+        rises = [k for k in range(1, 41) if ys[k] > ys[k - 1]]
+        falls = [k for k in range(1, 41) if ys[k] < ys[k - 1]]
+        assert not rises or not falls or max(falls) < min(rises), (form, ys)
+
+
 POSITIVE_STREAMS = [
     (F32, -9, 3, [(3, 9), (18, 51), (105, 297)]),
     (F32, 7, 4, [(1, 1), (2, 5), (4, 11), (11, 31)]),
@@ -121,6 +184,31 @@ def test_positive_streams(form, m, count, expected):
         p for p in brute_force_solutions(form, m, bound) if p[0] > 0 and p[1] > 0
     )
     assert got == brute[:count]
+
+
+def test_positive_set_of_a_same_sign_form_is_found_below_the_cap():
+    # a, b and c of one sign: |F(x, y)| >= |a|*x^2 on x, y > 0, so the
+    # positive set is finite and lies in |x| <= isqrt(|m| // |a|)
+    rng = random.Random(0x5A5E)
+    checked = solvable = 0
+    while checked < 400:
+        sign = rng.choice((-1, 1))
+        try:
+            form = QuadraticForm(*(sign * rng.randint(1, 9) for _ in range(3)))
+        except ValueError:
+            continue
+        if rng.random() < 0.5:
+            m = form.evaluate(rng.randint(1, 12), rng.randint(1, 12))
+        else:
+            m = rng.choice((-1, 1)) * rng.randint(1, 500)
+        bound = max(1, math.isqrt(abs(m) // abs(form.a)))
+        expected = sorted(p for p in brute_force_solutions(form, m, bound)
+                          if p[0] > 0 and p[1] > 0)
+        got = solutions(form, m, count=len(expected) + 1, xbound=10**12, positive=True)
+        assert [s.pair() for s in got] == expected, (form, m)
+        checked += 1
+        solvable += bool(expected)
+    assert solvable > 100
 
 
 def test_stream_order_dedup_and_tags():
