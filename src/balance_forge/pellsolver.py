@@ -152,26 +152,27 @@ def _search_ceiling(form: QuadraticForm, m: int) -> int:
     return int(rep_bound(form, m)) + 1
 
 
-def _bounded_orbit(row, matrix, inverse, ceiling, steps=32):
-    """Rows within ``steps`` matrix steps of ``row`` (``0 <= y <= ceiling``),
-    each walk stopping at its first ``|y| > ceiling``: as ``y = (w*t^k -
-    w'*t^-k)/sqrt(delta)`` for ``w = a*x + y*(b + sqrt(delta))/2`` and the unit
-    ``t > 1``, ``|y|`` never rises and then falls, so no later row is in the window.
+def _key(row):
+    return (abs(row[0]), row[0], row[1])
 
-    Sign-flipped images are deliberately not included: a row and its
-    flipped power image count as distinct representatives, matching the
-    anchor sets such as {[3, 3], [-3, 3]} even though their signed sweeps
-    coincide (the emission stream deduplicates pairs anyway).
+
+def _dip(row, matrix, inverse):
+    """The least row of ``row``'s orbit under ``_key``, and its exponent.
+
+    Returns ``(least, k)`` with ``least = matrix^k * row``.  With ``w = a*x +
+    y*(b + sqrt(delta))/2`` and the unit ``t > 1``, ``x_k = A*t^k + B*t^-k``
+    for the nonzero reals ``A = w*(sqrt(delta) - b)/(2*a*sqrt(delta))`` and
+    ``B = w'*(sqrt(delta) + b)/(2*a*sqrt(delta))``: ``|x_k|`` strictly falls,
+    then strictly rises, with at most one tie at the bottom (broken by ``x``
+    or ``y``), so the key strictly falls to one least row from both sides.
     """
-    out = {row}
-    for mat in (matrix, inverse):
-        cur = row
-        for _ in range(steps):
-            cur = mat.apply(cur)
-            out.add(cur)
-            if abs(cur[1]) > ceiling:
-                break
-    return out
+    k = 0
+    for mat, step in ((matrix, 1), (inverse, -1)):
+        nxt = mat.apply(row)
+        while _key(nxt) < _key(row):
+            row, k = nxt, k + step
+            nxt = mat.apply(row)
+    return row, k
 
 
 _CEILING_LIMIT = 10**12
@@ -398,16 +399,17 @@ def _square_radicand_hits(delta: int, shift: int, ceiling: int):
 def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
     """One solution row per orbit with ``0 <= y`` below the search ceiling.
 
-    Rows that are matrix-power images of an earlier row (redundant orbits
-    admitted by the search slack) are merged, keeping the lexicographically
-    smallest; every returned row re-verifies ``F(x, y) = m``.
+    Found rows are grouped by their orbit's least row (``_dip``), keeping the
+    lexicographically smallest of each; each re-verifies ``F(x, y) = m``.
+    A sign-flipped orbit is another orbit: {[3, 3], [-3, 3]} stay two
+    representatives though their signed sweeps coincide (the emission
+    stream deduplicates pairs anyway).
     """
     if m == 0:
         raise ValueError("degenerate right-hand side")
     delta, a, b = form.delta, form.a, form.b
-    ceiling = _search_ceiling(form, m)
     found = set()
-    for y0 in _square_radicand_hits(delta, 4 * a * m, ceiling):
+    for y0 in _square_radicand_hits(delta, 4 * a * m, _search_ceiling(form, m)):
         ok, root = is_perfect_square(delta * y0 * y0 + 4 * a * m)
         if not ok:
             raise AssertionError("scan produced a non-square radicand")
@@ -420,45 +422,21 @@ def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
                 found.add((x0, y0))
     matrix = orbit_matrix(form)
     inverse = matrix.inverse()
-    kept: list[tuple[int, int]] = []
-    absorbed: set[tuple[int, int]] = set()
+    kept: dict[tuple[int, int], tuple[int, int]] = {}
     for rep in sorted(found):
-        if rep in absorbed:
-            continue
-        kept.append(rep)
-        absorbed |= _bounded_orbit(rep, matrix, inverse, ceiling)
-    return kept
+        kept.setdefault(_dip(rep, matrix, inverse)[0], rep)
+    return list(kept.values())
 
 
 def _sort_key(sol: Solution):
     return (abs(sol.x), sol.x, sol.y)
 
 
-def _walk(row, matrix, rep_index, sign, direction):
-    exponent = 0 if direction > 0 else -1
+def _walk(row, matrix, rep_index, sign, exponent, step):
     while True:
         yield Solution(row[0], row[1], rep_index, exponent, sign)
         row = matrix.apply(row)
-        exponent += direction
-
-
-def _split_monotone(walker):
-    """Pull rows until ``|x|`` has risen twice in a row (past the dip).
-
-    Returns the pulled prefix and the remaining stream, which from that
-    point on is strictly increasing in ``|x|`` and therefore sorted.
-    """
-    prefix = []
-    prev = None
-    rises = 0
-    while rises < 2:
-        sol = next(walker)
-        ax = abs(sol.x)
-        if prev is not None:
-            rises = rises + 1 if ax > prev else 0
-        prefix.append(sol)
-        prev = ax
-    return prefix, walker
+        exponent += step
 
 
 def solutions(
@@ -489,18 +467,13 @@ def solutions(
         return []
     matrix = orbit_matrix(form)
     inverse = matrix.inverse()
-    prefix: list[Solution] = []
-    tails = []
+    walkers = []
     for index, rep in enumerate(reps):
         for sign in (1, -1):
-            start = (sign * rep[0], sign * rep[1])
-            forward = _walk(start, matrix, index, sign, 1)
-            backward = _walk(inverse.apply(start), inverse, index, sign, -1)
-            for walker in (forward, backward):
-                head, tail = _split_monotone(walker)
-                prefix.extend(head)
-                tails.append(tail)
-    merged = heapq.merge(sorted(prefix, key=_sort_key), *tails, key=_sort_key)
+            row, k = _dip((sign * rep[0], sign * rep[1]), matrix, inverse)
+            walkers.append(_walk(row, matrix, index, sign, k, 1))
+            walkers.append(_walk(inverse.apply(row), inverse, index, sign, k - 1, -1))
+    merged = heapq.merge(*walkers, key=_sort_key)
     out: list[Solution] = []
     seen: set[tuple[int, int]] = set()
     for sol in merged:

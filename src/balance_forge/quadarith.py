@@ -204,35 +204,30 @@ class ContinuedFraction:
 
 
 def _expand(D: int, P0: int, Q0: int):
-    """Partial quotients of ``(P0 + sqrt(D))/Q0`` until a state repeats.
+    """``(P, Q, a)`` for each partial quotient ``a`` of ``(P0 + sqrt(D))/Q0``.
 
-    Returns ``(digits, states)`` where ``states[i]`` is the ``(P, Q)`` pair
-    the ``i``-th digit was produced from; the last state in ``states`` is the
-    first repeated one, so the cycle is ``digits[states.index(last):]``.
+    ``a`` is the floor of ``(P + sqrt(D))/Q``.  Both callers' complete
+    quotients are reduced from index 1 on, so the expansion is purely
+    periodic from there: it ends where the state of index 1 recurs.
     """
     s = math.isqrt(D)
-    seen: dict[tuple[int, int], int] = {}
-    digits: list[int] = []
-    states: list[tuple[int, int]] = []
-    P, Q = P0, Q0
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(digits)
-        states.append((P, Q))
+    P, Q, start = P0, Q0, None
+    while True:
         a = (P + s) // Q
-        digits.append(a)
+        yield P, Q, a
         P = a * Q - P
         Q = (D - P * P) // Q
-    states.append((P, Q))
-    return digits, states
+        if (P, Q) == start:
+            return
+        start = start or (P, Q)
 
 
 def sqrt_continued_fraction(d: int) -> ContinuedFraction:
     """Canonical expansion of ``sqrt(d)`` for non-square ``d > 0``."""
     if d <= 0 or _is_square(d):
         raise ValueError("square radicand")
-    digits, states = _expand(d, 0, 1)
-    j = states.index(states[-1])
-    return ContinuedFraction(digits[0], tuple(digits[j:]))
+    a0, *period = (a for _, _, a in _expand(d, 0, 1))
+    return ContinuedFraction(a0, tuple(period))
 
 
 def _validate_discriminant(delta: int) -> None:
@@ -251,11 +246,11 @@ def _unit_delta_pair(delta: int) -> tuple[int, int]:
     expanded irrational, so its bottom row yields a unit of the lattice
     multiplier ring, which is exactly this order.
     """
-    digits, states = _expand(delta, delta & 1, 2)
-    j = states.index(states[-1])
-    Pj, Qj = states[j]
-    k, kp = 0, 1
-    for a in digits[j:]:
+    states = _expand(delta, delta & 1, 2)
+    next(states)  # index 0 precedes the period
+    Pj, Qj, _ = next(states)
+    k, kp = 1, 0  # the period's denominators after its first digit
+    for _, _, a in states:
         k, kp = a * k + kp, k
     num_x = 2 * (k * Pj + kp * Qj)
     num_y = 2 * k

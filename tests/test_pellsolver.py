@@ -7,6 +7,7 @@ import pytest
 from balance_forge.pellsolver import (
     OrbitMatrix,
     QuadraticForm,
+    Solution,
     _exact_square_hits,
     _factor,
     _search_ceiling,
@@ -147,7 +148,9 @@ def test_window_merge_equals_full_walk_merge():
 
 
 def test_y_along_an_orbit_never_rises_then_falls():
-    # y_k = (w*t^k - w'*t^-k)/sqrt(delta): the window merge relies on it
+    # y_k = (w*t^k - w'*t^-k)/sqrt(delta) and x_k = A*t^k + B*t^-k: |x| and
+    # |y| fall and then rise, so the key (|x|, x, y) has one least row: the
+    # row representatives groups found rows by and solutions sweeps from
     rng = random.Random(0x1E44A)
     for _ in range(300):
         form = _random_form(rng)
@@ -156,13 +159,19 @@ def test_y_along_an_orbit_never_rises_then_falls():
             continue
         matrix = orbit_matrix(form)
         row = matrix.power(-20).apply(row)
-        ys = []
+        rows = []
         for _ in range(41):
-            ys.append(abs(row[1]))
+            rows.append(row)
             row = matrix.apply(row)
-        rises = [k for k in range(1, 41) if ys[k] > ys[k - 1]]
-        falls = [k for k in range(1, 41) if ys[k] < ys[k - 1]]
-        assert not rises or not falls or max(falls) < min(rises), (form, ys)
+        for coord in (0, 1):
+            vs = [abs(r[coord]) for r in rows]
+            rises = [k for k in range(1, 41) if vs[k] > vs[k - 1]]
+            falls = [k for k in range(1, 41) if vs[k] < vs[k - 1]]
+            assert not rises or not falls or max(falls) < min(rises), (form, vs)
+        keys = [(abs(x), x, y) for x, y in rows]
+        minima = [k for k in range(41)
+                  if (k == 0 or keys[k] < keys[k - 1]) and (k == 40 or keys[k] < keys[k + 1])]
+        assert len(minima) == 1, (form, keys)
 
 
 POSITIVE_STREAMS = [
@@ -223,6 +232,47 @@ def test_stream_order_dedup_and_tags():
             tuple(v * s.sign for v in representatives(F32, -9)[s.rep])
         )
         assert regenerated == s.pair()
+
+
+def test_stream_is_the_first_keys_of_brute_force():
+    rng = random.Random(0x57EA)
+    kinds = set()
+    checked = 0
+    while checked < 300:
+        form = _random_form(rng)
+        if form is None:
+            continue
+        if rng.random() < 0.7:  # plant a row, so most are solvable
+            m = form.evaluate(rng.randint(-30, 30), rng.randint(0, 30))
+        else:
+            m = rng.choice((-1, 1)) * rng.randint(1, 500)
+        if m == 0 or _search_ceiling(form, m) > 10**6:
+            continue
+        count = rng.randint(1, 10)
+        got = solutions(form, m, count=count)
+        bound = max((abs(s.x) for s in got), default=200)
+        if bound > 20000:
+            continue
+        brute = sorted(brute_force_solutions(form, m, bound),
+                       key=lambda p: (abs(p[0]), p[0], p[1]))
+        assert [s.pair() for s in got] == brute[:count], (form, m)
+        reps = representatives(form, m)
+        matrix = orbit_matrix(form)
+        for s in got:
+            start = (s.sign * reps[s.rep][0], s.sign * reps[s.rep][1])
+            assert matrix.power(s.exponent).apply(start) == s.pair(), (form, m, s)
+        kinds.add((form.a < 0, form.b % 2, form.a * m > 0))
+        checked += 1
+    assert len(kinds) == 8
+
+
+def test_pair_of_two_orbits_keeps_the_first_orbit():
+    # (693, 287) is M^2 * (21, 7) and M^3 * -(-7, 7): the pair carries the
+    # orbit of the lower rep index, and of sign +1 before -1
+    form = QuadraticForm(2, -4, -2)
+    assert representatives(form, 196) == [(-9, 1), (-7, 7), (11, 1), (21, 7)]
+    eighth = solutions(form, 196, count=8, positive=True)[-1]
+    assert eighth == Solution(693, 287, 1, 3, -1)
 
 
 def test_solutions_limit_validation():

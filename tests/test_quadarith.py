@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +176,18 @@ def test_sqrt_continued_fraction_known():
     assert sqrt_continued_fraction(2) == ContinuedFraction(1, (2,))
     assert sqrt_continued_fraction(8) == ContinuedFraction(2, (1, 4))
     assert sqrt_continued_fraction(13) == ContinuedFraction(3, (1, 1, 1, 1, 6))
+
+
+def test_sqrt_continued_fraction_keeps_no_state_table():
+    # period 71,938: the digits take about 1 MiB, a table of (P, Q) states 17
+    tracemalloc.start()
+    try:
+        cf = sqrt_continued_fraction(100000000003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cf.period) == 71938 and cf.period[-1] == 2 * cf.a0
+    assert peak < 4 * 2**20
 
 
 def test_sqrt_continued_fraction_square():
