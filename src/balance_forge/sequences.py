@@ -249,10 +249,14 @@ def closed_form_terms(kind: SequenceKind):
         raise ValueError("no closed form")
     stride, offset, read = _CLOSED_FORMS[kind]
     p, q = (1, 0) if offset == 0 else (-1, 1)
-    step = quad_pow(_ALPHA, stride)
     while True:
         yield read(p, q)
-        p, q = step.p * p + 2 * step.q * q, step.q * p + step.p * q
+        if stride == 1:  # times 1 + sqrt(2), by additions only
+            p, q = p + q + q, p + q
+        else:  # twice: (p + 2q, p + q), then (3p + 4q, 2p + 3q)
+            r = p + q
+            q = r + r + q
+            p = q + r
 
 
 # member kind -> ((s, t) of the radicand 8x^2 + 8sx + t, witness, balancer)

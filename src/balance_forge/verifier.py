@@ -1,13 +1,13 @@
 """Mechanical finite-range verification of the sequence identity catalog.
 
-Every identity is evaluated in exact integer arithmetic for each index in
-range, on two computation routes for the core families (stepping their
-recurrences, and successive powers of ``1 + sqrt(2)``); a division that is
-not exact is a counterexample, not a crash.  Identities read the families
-through ``SequenceValues`` accessors named by the CLI names (``S.B``,
-``S.Bss``, ...).  One instance per route holds that route's core columns
-for a whole ``verify_all`` or ``verify_group`` call; nothing is kept
-between calls.
+Every identity is evaluated in exact integer arithmetic on the recurrence
+route, for each index in range; a division that is not exact is a
+counterexample, not a crash.  Identities read the families only through
+``SequenceValues`` accessors (``S.B``, ``S.Bss``, ...) over five core
+columns, and each core entry a check reads is compared once per call with
+the closed-form route (powers of ``1 + sqrt(2)``); an entry that differs
+fails the check with a ``"route": "binet"`` counterexample.  Columns live
+for one ``verify``, ``verify_group`` or ``verify_all`` call.
 
 Identity groups and entry counts (the auditable catalog):
 
@@ -34,6 +34,7 @@ Identity groups and entry counts (the auditable catalog):
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -54,9 +55,8 @@ _ROUTES = {"recurrence": terms, "binet": closed_form_terms}
 class _Column(dict):
     """``n -> v(n)`` read from an iterator of ``v(0), v(1), ...``.
 
-    A miss grows the column to twice its size, or past ``n`` if that is
-    further, so the hot path is a plain dict lookup; a negative index is a
-    miss that raises.
+    A miss fills the column up to ``n``, so the hot path is a plain dict
+    lookup; a negative index is a miss that raises.
     """
 
     def __init__(self, values):
@@ -66,8 +66,7 @@ class _Column(dict):
     def __missing__(self, n):
         if n < 0:
             raise ValueError("undefined index")
-        size = len(self)
-        self.update(enumerate(islice(self.values, max(n + 1, 2 * size) - size), size))
+        self.update(enumerate(islice(self.values, n + 1 - len(self)), len(self)))
         return self[n]
 
 
@@ -92,8 +91,8 @@ class SequenceValues:
         self.overrides = dict(overrides or {})
         # the accessors hold the columns, never the instance, so dropping
         # the instance frees the columns at once
-        core = SimpleNamespace(**{
-            k.value: _Column(source(k)).__getitem__ for k in CORE_KINDS})
+        self._columns = {k: _Column(source(k)) for k in CORE_KINDS}
+        core = SimpleNamespace(**{k.value: c.__getitem__ for k, c in self._columns.items()})
         for kind in SequenceKind:
             exact = getattr(core, kind.value, None) or partial(_DERIVED[kind], core)
             faults = {n: d for (k, n), d in self.overrides.items() if k is kind}
@@ -341,29 +340,46 @@ _CHECK_BY_ID = {check.id: check for check in CATALOG}
 _INTERLOCK_BY_ID = {cand.id: cand for cand in INTERLOCK}
 
 
-def _routes(values) -> list[SequenceValues]:
-    """``[values]``, or one fresh instance per route."""
+def _routes(values):
+    """``(values, None)``, or a recurrence instance and (binet instance, agreed count by kind)."""
     if values is not None:
-        return [values]
-    return [SequenceValues("recurrence"), SequenceValues("binet")]
+        return values, None
+    return SequenceValues("recurrence"), (SequenceValues("binet"), dict.fromkeys(CORE_KINDS, 0))
+
+
+def _route_difference(check: IdentityCheck, n_max: int, S: SequenceValues, cross):
+    """Evaluate ``check`` at ``n_max``, which fills ``S``'s columns as far as the range reads;
+    the counterexample of the first core entry read that differs on the binet route, or None."""
+    top = {}  # core kind -> the indices read, in the order first read
+    core = SimpleNamespace(**{k.value: lambda n, k=k, c=c: top.setdefault(k, []).append(n) or c[n]
+                              for k, c in S._columns.items()})
+    probe = SimpleNamespace(**vars(core), **{  # no cycle: the columns go with the call
+        kind.value: partial(general, core) for kind, general in _DERIVED.items()})
+    with suppress(_Inexact):
+        check.fn(probe, n_max)  # every catalog index grows with n
+    for kind, read in top.items() if cross else ():
+        ours, theirs, agreed, m = S._columns[kind], cross[0]._columns[kind], cross[1], max(read)
+        theirs[m]  # fills the binet column at once
+        i = next((i for i in range(agreed[kind], m + 1) if ours[i] != theirs[i]), m + 1)
+        agreed[kind] = max(agreed[kind], i)
+        if i <= m:
+            return {"n": i, "reason": f"{kind.value}({i}) differs between routes", "route": "binet"}
+    return None
 
 
 def _run_check(check: IdentityCheck, n_max: int, routes) -> VerificationReport:
-    for S in routes:
-        for n in range(check.start, n_max + 1):
-            try:
-                lhs, rhs = check.fn(S, n)
-            except _Inexact as exc:
-                return VerificationReport(
-                    check.id, check.start, n_max, "fail",
-                    {"n": n, "reason": str(exc), "route": S.route},
-                )
-            if lhs != rhs:
-                return VerificationReport(
-                    check.id, check.start, n_max, "fail",
-                    {"n": n, "lhs": _json_value(lhs), "rhs": _json_value(rhs),
-                     "route": S.route},
-                )
+    S, cross = routes
+    fail = partial(VerificationReport, check.id, check.start, n_max, "fail")
+    if n_max >= check.start and (differ := _route_difference(check, n_max, S, cross)):
+        return fail(differ)
+    for n in range(check.start, n_max + 1):
+        try:
+            lhs, rhs = check.fn(S, n)
+        except _Inexact as exc:
+            return fail({"n": n, "reason": str(exc), "route": S.route})
+        if lhs != rhs:
+            return fail({"n": n, "lhs": _json_value(lhs), "rhs": _json_value(rhs),
+                         "route": S.route})
     return VerificationReport(check.id, check.start, n_max, "pass")
 
 

@@ -15,6 +15,7 @@ from balance_forge.sequences import (
     SequenceKind,
     WITNESS_KIND,
     balancer,
+    closed_form_terms,
     definitional_check,
     is_member,
     term,
@@ -175,6 +176,14 @@ def test_term_is_thread_safe():
     assert not any(thread.is_alive() for thread in threads)
     for slot in range(4):
         assert results[slot] == expected[slot::4]
+
+
+@pytest.mark.parametrize("kind", [K.B, K.b, K.C, K.c, K.P], ids=lambda k: k.value)
+def test_closed_form_terms_match_term_binet(kind):
+    # pins the addition-only stepping by 1 + sqrt(2) against exact powers
+    stepped = list(islice(closed_form_terms(kind), 501))
+    assert stepped[1:] == [term_binet(kind, n) for n in range(1, 501)]
+    assert stepped[0] == term(kind, 0)
 
 
 def test_binet_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import weakref
@@ -238,3 +239,115 @@ def test_jsonl_round_trip():
 def test_report_dict_shape():
     report = verify("pellk.B", 5)
     assert report.to_dict() == {"id": "pellk.B", "range": [1, 5], "status": "pass"}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The ``SequenceValues`` instances the verifier builds during a test."""
+    instances = []
+
+    class Captured(SequenceValues):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            instances.append(self)
+
+    monkeypatch.setattr(verifier, "SequenceValues", Captured)
+    return instances
+
+
+@pytest.fixture
+def faulty_binet_B(monkeypatch):
+    """The closed-form route reads B one too high from index 5 on."""
+    stride, offset, read = sequences._CLOSED_FORMS[K.B]
+    at = term(K.B, 5)
+    monkeypatch.setitem(sequences._CLOSED_FORMS, K.B,
+                        (stride, offset, lambda p, q: read(p, q) + (read(p, q) >= at)))
+
+
+def test_faulty_closed_form_fails_on_binet_route(faulty_binet_B):
+    report = verify("pellk.B", 20)
+    assert not report.passed
+    assert report.counterexample == {
+        "n": 5, "reason": "B(5) differs between routes", "route": "binet"}
+
+
+def test_faulty_recurrence_row_fails_on_binet_route(monkeypatch):
+    (v0, v1), s1, s2, add = sequences._RECURRENCES[K.P]
+    monkeypatch.setitem(sequences._RECURRENCES, K.P, ((v0, v1), s1, s2, add + 1))
+    report = verify("pellk.B", 20)
+    assert not report.passed
+    assert report.counterexample == {
+        "n": 2, "reason": "P(2) differs between routes", "route": "binet"}
+
+
+def test_route_difference_fails_every_check_that_reads_it(faulty_binet_B):
+    # the differing entry fails each check reading B, not the others
+    passed = {r.id: r.passed for r in verify_group("pellk", 20) + verify_group("teo2", 20)}
+    assert passed == {
+        "pellk.B": False, "pellk.b": True, "pellk.C": True, "pellk.c": True,
+        "teo2.Bstar": False, "teo2.Cstar": True, "teo2.Bstarstar": False,
+        "teo2.Cstarstar": False,
+    }
+    assert not all(r.passed for r in verify_all(20, 5))
+
+
+def test_given_values_are_the_only_route(faulty_binet_B, monkeypatch):
+    recurrence, binet = SequenceValues("recurrence"), SequenceValues("binet")
+    bad = SequenceValues(overrides={(K.P, 14): 2})
+    built = []
+    monkeypatch.setattr(verifier, "SequenceValues", lambda *a, **k: built.append(a))
+    # no second route is built or compared: the faulty binet route goes unseen
+    assert verify("pellk.B", 20, values=recurrence).passed
+    # evaluated on the faulty instance itself, the identity fails by value
+    report = verify("pellk.B", 20, values=binet)
+    assert report.counterexample == {
+        "n": 5, "lhs": term(K.B, 5) + 1, "rhs": term(K.B, 5), "route": "binet"}
+    # overrides are honoured on the given instance
+    assert verify("pellk.B", 10, values=bad).counterexample["n"] == 7
+    assert built == []
+
+
+# the largest index each check reads of each core kind at n = 200
+LARGEST_READS = {
+    "pellk.B": {K.B: 200, K.P: 400},
+    "teo2.Bstarstar": {K.B: 200, K.C: 200},
+    "teo4.cstar_even": {K.c: 202},
+    "teo7.bstar_odd": {K.b: 200, K.P: 398},
+}
+
+
+@pytest.mark.parametrize("id", sorted(LARGEST_READS))
+def test_each_identity_is_evaluated_once(monkeypatch, built, id):
+    check = verifier._CHECK_BY_ID[id]
+    calls = []
+
+    def counted_fn(S, n):
+        calls.append(n)
+        return check.fn(S, n)
+
+    monkeypatch.setitem(verifier._CHECK_BY_ID, id, dataclasses.replace(check, fn=counted_fn))
+    assert verify(id, 200).passed
+    assert 200 - check.start + 1 <= len(calls) <= 200 - check.start + 2
+    assert [S.route for S in built] == ["recurrence", "binet"]
+    expected = {kind: LARGEST_READS[id].get(kind, -1) + 1 for kind in sequences.CORE_KINDS}
+    for S in built:
+        assert {kind: len(column) for kind, column in S._columns.items()} == expected, S.route
+
+
+def test_verify_frees_its_columns(built):
+    # nothing a check builds may hold the columns in a reference cycle
+    gc.disable()
+    try:
+        assert verify("teo2.Bstarstar", 50).passed
+        refs = [weakref.ref(column) for S in built for column in S._columns.values()]
+        built.clear()
+        assert len(refs) == 10 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_routes_agree_deep():
+    recurrence, binet = SequenceValues("recurrence"), SequenceValues("binet")
+    for kind in SequenceKind:
+        assert [recurrence.value(kind, n) for n in range(3001)] == [
+            binet.value(kind, n) for n in range(3001)], kind
