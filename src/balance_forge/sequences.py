@@ -27,19 +27,23 @@ whose parity selects the branch:
 Two independent routes compute the core families, and nothing is cached
 between calls:
 
-* ``term`` is the recurrence route.  It reaches index ``n`` in O(log n)
-  big-integer steps by index doubling of the recurrence coefficients, so a
+* ``term`` and ``terms`` are the recurrence route.  ``terms`` seeds each
+  core family it reads by one index doubling of the recurrence coefficients
+  (O(log n) big-integer steps), then steps the recurrences in constant
+  memory; ``term`` of a derived kind is the first value of ``terms``.  A
   single term costs no more memory than its own value, and it is safe to
-  call from several threads.  ``terms`` steps the recurrences from any start
-  index in constant memory.
+  call from several threads.
 * ``term_binet`` and ``closed_form_terms`` are the closed-form route: exact
   powers of ``1 + sqrt(2)``.
 
 Membership in a family is decided by a perfect-square criterion on a
 quadratic radicand (for example ``x`` is a balancing number iff
 ``8x^2 + 1`` is a perfect square); the square root is the Lucas-type
-witness.  ``balancer`` recovers the gap length ``r`` from the defining
-equal-sums equation of a member.
+witness.  Above ``DEEP_ROOT_BITS`` bits of root, the one witness term of
+that bit length is proposed and kept only if it squares to the radicand;
+otherwise, and below that size, ``math.isqrt`` decides as before.
+``balancer`` recovers the gap length ``r`` from the defining equal-sums
+equation of a member.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from collections import deque
 from enum import Enum
 from functools import partial
 from itertools import count
-from types import SimpleNamespace
 
 from .quadarith import SQUARE_RESIDUE_MODULUS, QuadInt, is_perfect_square, quad_pow, square_residue
 
@@ -119,10 +122,6 @@ def _pair(kind: SequenceKind, n: int) -> tuple[int, int]:
     return ((z1 - s1 * z0) * u + z0 * u1 + add) // k, (z1 * u1 + s2 * z0 * u + add) // k
 
 
-def _core_term(kind: SequenceKind, n: int) -> int:
-    return _pair(kind, n)[0]
-
-
 def _stepped(kind: SequenceKind, n: int):
     """``v(n), v(n+1), ...`` of a core family: seeded by index doubling, then stepped."""
     _, s1, s2, add = _RECURRENCES[kind]
@@ -142,7 +141,8 @@ def _parity(odd, even):
 
 
 # kind -> general term over the core accessors v.B, v.b, v.C, v.c, v.P; the
-# recurrence route (term, terms) and the verifier's columns both read it
+# recurrence route (term, terms) and the verifier's columns both read it.
+# Each reads a family's lower index first: terms seeds a family at its first read
 _DERIVED = {
     SequenceKind.Bstar: lambda v, n: 3 * v.B(n),
     SequenceKind.Cstar: lambda v, n: 3 * v.C(n),
@@ -153,54 +153,45 @@ _DERIVED = {
     SequenceKind.Cstarstar: _parity(
         lambda v, m: 8 * v.B(m - 1) + v.C(m - 1), lambda v, m: 8 * v.B(m) - v.C(m)),
     SequenceKind.bstar: _parity(
-        lambda v, m: 4 * v.b(m) - v.b(m - 1) + 1, lambda v, m: 2 * v.b(m + 1) - v.b(m)),
+        lambda v, m: 1 - v.b(m - 1) + 4 * v.b(m), lambda v, m: -v.b(m) + 2 * v.b(m + 1)),
     SequenceKind.cstar: _parity(
-        lambda v, m: v.c(m + 1) - 2 * v.c(m), lambda v, m: v.c(m + 2) - 4 * v.c(m + 1)),
+        lambda v, m: -2 * v.c(m) + v.c(m + 1), lambda v, m: -4 * v.c(m + 1) + v.c(m + 2)),
 }
-
-# the core accessors of term: each value by index doubling, nothing kept
-_DOUBLING = SimpleNamespace(**{kind.value: partial(_core_term, kind) for kind in CORE_KINDS})
-
-
-def _general_term(kind: SequenceKind):
-    general = _DERIVED.get(kind)
-    if general is None:
-        raise ValueError(f"unknown kind {kind!r}")
-    return general
 
 
 def term(kind: SequenceKind, n: int) -> int:
     """The ``n``-th member of a family, exactly (``n >= 0``), in O(log n) steps."""
     if n < 0:
         raise ValueError("undefined index")
-    if kind in _RECURRENCES:
-        return _core_term(kind, n)
-    return _general_term(kind)(_DOUBLING, n)
+    return _pair(kind, n)[0] if kind in _RECURRENCES else next(terms(kind, n))
 
 
 class _Window:
-    """One core family near a rising index: stepped forward, the last few kept.
+    """One core family near a rising index: stepped forward, the last two kept.
 
-    An index below the kept values (only the first calls of a general term
-    can ask for one) is computed on its own by index doubling.
+    Seeded at its first read: a general term reads each family at one index
+    or at two adjacent ones, the lower first, and the next index reads none
+    lower, so every read is one of the two newest values.
     """
 
     def __init__(self, kind: SequenceKind):
-        self.kind = kind
-        self.steps = None
-        self.recent: deque[int] = deque(maxlen=4)
-        self.top = 0  # one past the index of the newest kept value
+        self.kind, self.steps = kind, None
+        self.recent: deque[int] = deque(maxlen=2)
 
     def __call__(self, n: int) -> int:
-        if self.steps is None:
+        if self.steps is None:  # top: one past the index of the newest kept value
             self.steps, self.top = _stepped(self.kind, n), n
         while self.top <= n:
             self.recent.append(next(self.steps))
             self.top += 1
-        back = self.top - n
-        if back > len(self.recent):
-            return _core_term(self.kind, n)
-        return self.recent[-back]
+        return self.recent[n - self.top]
+
+
+class _Windows:
+    """The core accessors of one stream: a ``_Window`` per family, made at its first read."""
+
+    def __getattr__(self, name: str) -> _Window:
+        return self.__dict__.setdefault(name, _Window(KIND_BY_NAME[name]))
 
 
 def terms(kind: SequenceKind, start: int = 0):
@@ -212,8 +203,10 @@ def terms(kind: SequenceKind, start: int = 0):
         raise ValueError("undefined index")
     if kind in _RECURRENCES:
         return _stepped(kind, start)
-    window = SimpleNamespace(**{k.value: _Window(k) for k in CORE_KINDS})
-    return map(partial(_general_term(kind), window), count(start))
+    general = _DERIVED.get(kind)
+    if general is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    return map(partial(general, _Windows()), count(start))
 
 
 _ALPHA = QuadInt(1, 1, 2)
@@ -269,6 +262,11 @@ _MEMBERSHIP = {
     SequenceKind.bstarstar: ((1, -7), SequenceKind.cstarstar, BalancerKind.rstarstar),
 }
 
+# above this many root bits, is_member reads the root from the witness terms and
+# confirms it by one squaring, cheaper there than math.isqrt's quadratic division
+DEEP_ROOT_BITS = 8192
+_INTERLEAVED = (SequenceKind.Cstarstar, SequenceKind.cstar)
+
 WITNESS_KIND = {kind: witness for kind, (_, witness, _) in _MEMBERSHIP.items()}
 MEMBERSHIP_KINDS = tuple(_MEMBERSHIP)
 _MEMBER_OF_BALANCER = {bal: kind for kind, (_, _, bal) in _MEMBERSHIP.items()}
@@ -285,6 +283,14 @@ def is_member(kind: SequenceKind, x: int) -> tuple[bool, int | None]:
     r = x % SQUARE_RESIDUE_MODULUS  # most non-members fail on residues alone
     if not square_residue(8 * r * (r + s) + t) or (rad := 8 * x * x + 8 * s * x + t) < 0:
         return False, None
+    bits = (rad.bit_length() + 1) // 2  # of isqrt(rad)
+    if bits > DEEP_ROOT_BITS:
+        # a witness gains log2(1 + sqrt(2)) < 3179/2500 bits per index on the
+        # interleaved families, twice that on the others
+        start = bits * 2500 // 3179 // (1 if row[1] in _INTERLEAVED else 2) - 2
+        root = next(w for w in terms(row[1], start) if w.bit_length() >= bits)
+        if root * root == rad:
+            return True, root
     return is_perfect_square(rad)
 
 

@@ -388,6 +388,9 @@ def _json_value(v):
 
 
 def _run_candidate(cand: CandidateIdentity, n_max: int, S: SequenceValues) -> VerificationReport:
+    for fn in (cand.lhs, *(fn for _, fn in cand.candidates)):  # fill each column at once
+        with suppress(ValueError):
+            fn(S, n_max)
     survivors = list(cand.candidates)
     first_failures = {}
     for n in range(cand.start, n_max + 1):

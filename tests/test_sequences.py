@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -7,8 +8,10 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balance_forge.quadarith import is_perfect_square
+from balance_forge import sequences
+from balance_forge.quadarith import is_perfect_square, square_residue
 from balance_forge.sequences import (
+    DEEP_ROOT_BITS,
     BalancerKind,
     KIND_BY_NAME,
     MEMBERSHIP_KINDS,
@@ -142,26 +145,37 @@ def test_term_matches_binet_deep(kind, n):
 
 def test_term_retains_nothing():
     term(K.B, 10)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        term(K.B, 60000)
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert after - before < 4096
-    # B(60000) is about 20 KiB; the engine holds a few values of that size
-    assert peak - before < 10 * 2**20
+    term(K.cstar, 10)
+    # cs(60000) reads c(30001) and c(30002) from one stepped window
+    for kind in (K.B, K.cstar):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            term(kind, 60000)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 4096, kind
+        # B(60000) is about 20 KiB; the engine holds a few values of that size
+        assert peak - before < 10 * 2**20, kind
+
+
+def _answer(kind, n):
+    value = term(kind, n)
+    return value, is_member(kind, value) if kind in MEMBERSHIP_KINDS else None
 
 
 def test_term_is_thread_safe():
     rng = random.Random(7)
     queries = [(rng.choice(list(SequenceKind)), rng.randint(0, 3000)) for _ in range(400)]
-    expected = [term(kind, n) for kind, n in queries]
+    # derived kinds deep enough that membership reads its witness from a stream
+    queries += [(kind, rng.randint(12000, 14000)) for kind in (K.Bstarstar, K.bstar) * 4]
+    rng.shuffle(queries)
+    expected = [_answer(kind, n) for kind, n in queries]
     results = [None] * 4
 
     def worker(slot):
-        results[slot] = [term(kind, n) for kind, n in queries[slot::4]]
+        results[slot] = [_answer(kind, n) for kind, n in queries[slot::4]]
 
     threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
     interval = sys.getswitchinterval()
@@ -332,3 +346,132 @@ def test_membership_agrees_with_square_test(x):
     ok, root = is_member(K.B, x)
     flag, r = is_perfect_square(8 * x * x + 1)
     assert (ok, root) == (flag, r)
+
+
+# the square criteria of the paper, one radicand per membership kind
+RADICANDS = {
+    K.B: lambda x: 8 * x * x + 1,
+    K.b: lambda x: 8 * x * x + 8 * x + 1,
+    K.Bstar: lambda x: 8 * x * x + 9,
+    K.Bstarstar: lambda x: 8 * x * x - 7,
+    K.bstar: lambda x: 8 * x * x + 8 * x + 9,
+    K.bstarstar: lambda x: 8 * x * x + 8 * x - 7,
+}
+
+# membership kind -> (balancer kind, family, defect of the equal-sums equation)
+BALANCERS = {
+    K.B: (BalancerKind.R, "balancing", 0),
+    K.b: (BalancerKind.r, "cobalancing", 0),
+    K.Bstar: (BalancerKind.Rstar, "almost_balancing", 1),
+    K.Bstarstar: (BalancerKind.Rstarstar, "almost_balancing", -1),
+    K.bstar: (BalancerKind.rstar, "almost_cobalancing", 1),
+    K.bstarstar: (BalancerKind.rstarstar, "almost_cobalancing", -1),
+}
+
+
+def _plain_member(kind, x):
+    """The square criterion by math.isqrt of the radicand, no shortcut."""
+    rad = RADICANDS[kind](x)
+    if rad < 0:
+        return False, None
+    root = math.isqrt(rad)
+    return (True, root) if root * root == rad else (False, None)
+
+
+def _crossing(kind):
+    """The first index whose witness has more than ``DEEP_ROOT_BITS`` bits."""
+    return next(n for n, w in enumerate(terms(WITNESS_KIND[kind]))
+                if w.bit_length() > DEEP_ROOT_BITS)
+
+
+def _deep_indices(kind, rng):
+    top = 40000 if kind in (K.Bstarstar, K.bstar) else 20000
+    first = _crossing(kind)
+    return list(range(first - 2, first + 3)) + sorted(
+        rng.sample(range(first + 3, top), 3)) + [top]
+
+
+@pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
+def test_deep_membership_matches_plain_criterion(kind):
+    rng = random.Random(f"deep:{kind.value}")
+    bkind, family, defect = BALANCERS[kind]
+    for n in _deep_indices(kind, rng):
+        x = term(kind, n)
+        assert is_member(kind, x) == _plain_member(kind, x) == (True, term(WITNESS_KIND[kind], n))
+        assert definitional_check(family, x, balancer(bkind, x)) == defect
+        for y in (x - 1, x + 1):
+            assert is_member(kind, y) == _plain_member(kind, y)
+    # random values of 4k to 60k bits, half of them chosen to pass the
+    # residue filter so that their root is proposed from the witness terms
+    for passing in (False, True) * 3:
+        while True:
+            x = rng.getrandbits(rng.randint(4000, 60000))
+            if not passing or square_residue(RADICANDS[kind](x)):
+                break
+        assert is_member(kind, x) == _plain_member(kind, x)
+
+
+@pytest.fixture
+def square_roots(monkeypatch):
+    """The radicands membership hands to ``is_perfect_square``."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return is_perfect_square(x)
+
+    monkeypatch.setattr(sequences, "is_perfect_square", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
+def test_deep_members_skip_the_square_root(kind, square_roots):
+    first = _crossing(kind)
+    for n in (first, first + 1, first + 2, 2 * first):
+        assert is_member(kind, term(kind, n)) == (True, term(WITNESS_KIND[kind], n))
+    assert square_roots == []
+    # one index below, the root is at most DEEP_ROOT_BITS long: isqrt decides
+    assert is_member(kind, term(kind, first - 1))[0]
+    assert len(square_roots) == 1
+
+
+def _members_and_neighbours(kind):
+    first = _crossing(kind)
+    return [x + d for x in (term(kind, first), term(kind, first + 40)) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
+def test_too_high_start_cannot_decide(kind, monkeypatch, square_roots):
+    values, real = _members_and_neighbours(kind), sequences.terms
+    monkeypatch.setattr(sequences, "terms", lambda k, start=0: real(k, start + 10))
+    for x in values:
+        assert is_member(kind, x) == _plain_member(kind, x)
+    # the proposed witness is past the root, so every member reaches isqrt
+    assert sum(RADICANDS[kind](x) in square_roots for x in values[1::3]) == 2
+
+
+@pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
+def test_wrong_witness_stream_cannot_decide(kind, monkeypatch, square_roots):
+    values, real = _members_and_neighbours(kind), sequences.terms
+    wrong = K.Cstar if WITNESS_KIND[kind] is not K.Cstar else K.C
+    monkeypatch.setattr(sequences, "terms", lambda k, start=0: real(wrong, start))
+    for x in values:
+        assert is_member(kind, x) == _plain_member(kind, x)
+    assert sum(RADICANDS[kind](x) in square_roots for x in values[1::3]) == 2
+
+
+# derived kind -> the core families its general term reads (index n >= 1)
+FAMILIES_READ = {
+    K.Bstar: [K.B], K.Cstar: [K.C], K.bstarstar: [K.b], K.cstarstar: [K.c],
+    K.Bstarstar: [K.B, K.C], K.Cstarstar: [K.B, K.C], K.bstar: [K.b], K.cstar: [K.c],
+}
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES_READ), ids=lambda k: k.value)
+def test_derived_term_runs_one_chain_per_family(kind, monkeypatch):
+    real, chains = sequences._pair, []
+    monkeypatch.setattr(sequences, "_pair", lambda k, n: chains.append(k) or real(k, n))
+    for n in (1, 2, 7, 8, 3001, 3002):
+        chains.clear()
+        term(kind, n)
+        assert sorted(chains, key=sequences.CORE_KINDS.index) == FAMILIES_READ[kind], n

@@ -351,3 +351,15 @@ def test_routes_agree_deep():
     for kind in SequenceKind:
         assert [recurrence.value(kind, n) for n in range(3001)] == [
             binet.value(kind, n) for n in range(3001)], kind
+
+
+@pytest.mark.parametrize("id", [cand.id for cand in INTERLOCK])
+def test_interlock_fills_each_column_at_once(monkeypatch, id):
+    # one evaluation at the top of the range fills the columns before the
+    # ascending scan, which then only reads them
+    fills = []
+    missing = verifier._Column.__missing__
+    monkeypatch.setattr(verifier._Column, "__missing__",
+                        lambda column, n: fills.append(n) or missing(column, n))
+    assert verify(id, 1000).passed
+    assert len(fills) <= 10
