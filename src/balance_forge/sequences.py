@@ -27,21 +27,21 @@ whose parity selects the branch:
 Two independent routes compute the core families, and nothing is cached
 between calls:
 
-* ``term`` and ``terms`` are the recurrence route.  ``terms`` seeds each
-  core family it reads by one index doubling of the recurrence coefficients
-  (O(log n) big-integer steps), then steps the recurrences in constant
-  memory; ``term`` of a derived kind is the first value of ``terms``.  A
-  single term costs no more memory than its own value, and it is safe to
-  call from several threads.
+* ``term`` and ``terms`` are the recurrence route.  ``terms`` runs one
+  Lucas chain (O(log n) big-integer steps) per recurrence it reads, reads
+  each core family from it by a fixed row, then steps in constant memory;
+  ``term`` of a derived kind is the first value of ``terms``.  A single
+  term costs no more memory than its own value, and it is safe to call
+  from several threads.
 * ``term_binet`` and ``closed_form_terms`` are the closed-form route: exact
   powers of ``1 + sqrt(2)``.
 
 Membership in a family is decided by a perfect-square criterion on a
-quadratic radicand (for example ``x`` is a balancing number iff
-``8x^2 + 1`` is a perfect square); the square root is the Lucas-type
-witness.  Above ``DEEP_ROOT_BITS`` bits of root, the one witness term of
-that bit length is proposed and kept only if it squares to the radicand;
-otherwise, and below that size, ``math.isqrt`` decides as before.
+radicand built from one squaring of ``x`` (``x`` is a balancing number iff
+``8x^2 + 1`` is a square); its root is the Lucas-type witness.  Above
+``DEEP_ROOT_BITS`` bits of root, a non-square modulo a prime from 17 to 97
+is rejected exactly, and a witness term of the root's bit length is kept
+if it squares to the radicand; otherwise ``math.isqrt`` decides.
 ``balancer`` recovers the gap length ``r`` from the defining equal-sums
 equation of a member.
 """
@@ -52,6 +52,8 @@ from collections import deque
 from enum import Enum
 from functools import partial
 from itertools import count
+from math import prod
+from types import SimpleNamespace
 
 from .quadarith import SQUARE_RESIDUE_MODULUS, QuadInt, is_perfect_square, quad_pow, square_residue
 
@@ -96,36 +98,36 @@ _RECURRENCES = {
 CORE_KINDS = tuple(_RECURRENCES)
 
 
-def _pair(kind: SequenceKind, n: int) -> tuple[int, int]:
-    """``(v(n), v(n+1))`` of a core family in O(log n) steps (``n >= 0``).
+def _chain(s1: int, s2: int, n: int) -> tuple[int, int]:
+    """``(U(n), U(n+1))`` of the recurrence ``(s1, s2)`` in O(log n) steps (``n >= 0``).
 
     A Lucas chain: with ``P = s1``, ``Q = -s2`` and ``D = P^2 - 4Q``, the
     Lucas sequences ``U`` (``U(0) = 0, U(1) = 1``) and ``V`` (``V(0) = 2,
     V(1) = P``) of the recurrence double as ``U(2i) = U(i)V(i)``,
     ``V(2i) = V(i)^2 - 2Q^i`` and step as ``U(i+1) = (P U(i) + V(i)) / 2``,
     ``V(i+1) = (D U(i) + P V(i)) / 2``: two multiplications per bit of ``n``.
-    Any solution ``z`` of the recurrence is ``z(i) = (z1 - s1*z0) U(i) + z0
-    U(i+1)``.  An affine row (``add != 0``, the cobalancing numbers) is first
-    shifted to the homogeneous solution ``z = k*v - add`` with
-    ``k = 1 - s1 - s2`` (``z = -(4b + 2)`` for ``b``).
     """
-    (v0, v1), s1, s2, add = _RECURRENCES[kind]
-    q, d = -s2, s1 * s1 + 4 * s2
+    d = s1 * s1 + 4 * s2
     u, v, qi = 0, 2, 1  # U(i), V(i), Q^i at i = 0
     for bit in bin(n)[2:]:
         u, v, qi = u * v, v * v - 2 * qi, qi * qi
         if bit == "1":
-            u, v, qi = (s1 * u + v) // 2, (d * u + s1 * v) // 2, qi * q
-    u1 = (s1 * u + v) // 2
+            u, v, qi = (s1 * u + v) // 2, (d * u + s1 * v) // 2, -qi * s2
+    return u, (s1 * u + v) // 2
+
+
+def _stepped(kind: SequenceKind, n: int, chains: dict):
+    """``v(n), v(n+1), ...`` of a core family: read from one chain, then stepped.
+
+    Any solution is ``z(i) = (z(1) - s1 z(0)) U(i) + z(0) U(i+1)``; an affine
+    row is read as ``z = k*v - add``, ``k = 1 - s1 - s2``.  ``chains`` keeps
+    the chains run, by recurrence and index, for a stream's families.
+    """
+    (v0, v1), s1, s2, add = _RECURRENCES[kind]
     k = 1 - s1 - s2 if add else 1
     z0, z1 = k * v0 - add, k * v1 - add
-    return ((z1 - s1 * z0) * u + z0 * u1 + add) // k, (z1 * u1 + s2 * z0 * u + add) // k
-
-
-def _stepped(kind: SequenceKind, n: int):
-    """``v(n), v(n+1), ...`` of a core family: seeded by index doubling, then stepped."""
-    _, s1, s2, add = _RECURRENCES[kind]
-    a, b = _pair(kind, n)
+    u, u1 = chains.get((s1, s2, n)) or chains.setdefault((s1, s2, n), _chain(s1, s2, n))
+    a, b = ((z1 - s1 * z0) * u + z0 * u1 + add) // k, (z1 * u1 + s2 * z0 * u + add) // k
     while True:
         yield a
         a, b = b, s1 * b + s2 * a + add
@@ -161,9 +163,7 @@ _DERIVED = {
 
 def term(kind: SequenceKind, n: int) -> int:
     """The ``n``-th member of a family, exactly (``n >= 0``), in O(log n) steps."""
-    if n < 0:
-        raise ValueError("undefined index")
-    return _pair(kind, n)[0] if kind in _RECURRENCES else next(terms(kind, n))
+    return next(terms(kind, n))
 
 
 class _Window:
@@ -174,24 +174,24 @@ class _Window:
     lower, so every read is one of the two newest values.
     """
 
-    def __init__(self, kind: SequenceKind):
-        self.kind, self.steps = kind, None
+    def __init__(self, kind: SequenceKind, chains: dict):
+        self.kind, self.chains, self.steps = kind, chains, None
         self.recent: deque[int] = deque(maxlen=2)
 
     def __call__(self, n: int) -> int:
         if self.steps is None:  # top: one past the index of the newest kept value
-            self.steps, self.top = _stepped(self.kind, n), n
+            self.steps, self.top = _stepped(self.kind, n, self.chains), n
         while self.top <= n:
             self.recent.append(next(self.steps))
             self.top += 1
         return self.recent[n - self.top]
 
 
-class _Windows:
-    """The core accessors of one stream: a ``_Window`` per family, made at its first read."""
+class _Windows(SimpleNamespace):
+    """The core accessors of one stream: a ``_Window`` per family, all seeded from ``chains``."""
 
     def __getattr__(self, name: str) -> _Window:
-        return self.__dict__.setdefault(name, _Window(KIND_BY_NAME[name]))
+        return self.__dict__.setdefault(name, _Window(KIND_BY_NAME[name], self.chains))
 
 
 def terms(kind: SequenceKind, start: int = 0):
@@ -202,11 +202,11 @@ def terms(kind: SequenceKind, start: int = 0):
     if start < 0:
         raise ValueError("undefined index")
     if kind in _RECURRENCES:
-        return _stepped(kind, start)
+        return _stepped(kind, start, {})
     general = _DERIVED.get(kind)
     if general is None:
         raise ValueError(f"unknown kind {kind!r}")
-    return map(partial(general, _Windows()), count(start))
+    return map(partial(general, _Windows(chains={})), count(start))
 
 
 _ALPHA = QuadInt(1, 1, 2)
@@ -266,6 +266,10 @@ _MEMBERSHIP = {
 # confirms it by one squaring, cheaper there than math.isqrt's quadratic division
 DEEP_ROOT_BITS = 8192
 _INTERLEAVED = (SequenceKind.Cstarstar, SequenceKind.cstar)
+# prime -> its squares as bits; together they pass about 1 non-square in 330,000
+_PRIME_SQUARES = {p: sum({1 << i * i % p for i in range(p)}) for p in (
+    17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)}
+_PRIME_MODULUS = prod(_PRIME_SQUARES)
 
 WITNESS_KIND = {kind: witness for kind, (_, witness, _) in _MEMBERSHIP.items()}
 MEMBERSHIP_KINDS = tuple(_MEMBERSHIP)
@@ -281,10 +285,13 @@ def is_member(kind: SequenceKind, x: int) -> tuple[bool, int | None]:
         raise ValueError("no membership criterion")
     s, t = row[0]
     r = x % SQUARE_RESIDUE_MODULUS  # most non-members fail on residues alone
-    if not square_residue(8 * r * (r + s) + t) or (rad := 8 * x * x + 8 * s * x + t) < 0:
+    if not square_residue(8 * r * (r + s) + t) or (rad := (x * x << 3) + (s * x << 3) + t) < 0:
         return False, None
     bits = (rad.bit_length() + 1) // 2  # of isqrt(rad)
     if bits > DEEP_ROOT_BITS:
+        w = rad % _PRIME_MODULUS  # a non-residue modulo any one prime proves rad no square
+        if not all(squares >> w % p & 1 for p, squares in _PRIME_SQUARES.items()):
+            return False, None
         # a witness gains log2(1 + sqrt(2)) < 3179/2500 bits per index on the
         # interleaved families, twice that on the others
         start = bits * 2500 // 3179 // (1 if row[1] in _INTERLEAVED else 2) - 2

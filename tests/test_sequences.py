@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from balance_forge import sequences
 from balance_forge.quadarith import is_perfect_square, square_residue
 from balance_forge.sequences import (
+    CORE_KINDS,
     DEEP_ROOT_BITS,
     BalancerKind,
     KIND_BY_NAME,
@@ -424,11 +425,23 @@ def square_roots(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def chains(monkeypatch):
+    """The recurrences ``(s1, s2)`` that ``sequences`` runs a Lucas chain for."""
+    calls, real = [], sequences._chain
+    monkeypatch.setattr(sequences, "_chain",
+                        lambda s1, s2, n: calls.append((s1, s2)) or real(s1, s2, n))
+    return calls
+
+
 @pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
-def test_deep_members_skip_the_square_root(kind, square_roots):
+def test_deep_members_skip_the_square_root(kind, square_roots, chains):
     first = _crossing(kind)
     for n in (first, first + 1, first + 2, 2 * first):
-        assert is_member(kind, term(kind, n)) == (True, term(WITNESS_KIND[kind], n))
+        x, root = term(kind, n), term(WITNESS_KIND[kind], n)
+        chains.clear()
+        assert is_member(kind, x) == (True, root)
+        assert chains == [(6, -1)], n  # one chain, even for Bss's witness Css
     assert square_roots == []
     # one index below, the root is at most DEEP_ROOT_BITS long: isqrt decides
     assert is_member(kind, term(kind, first - 1))[0]
@@ -460,6 +473,10 @@ def test_wrong_witness_stream_cannot_decide(kind, monkeypatch, square_roots):
     assert sum(RADICANDS[kind](x) in square_roots for x in values[1::3]) == 2
 
 
+def _recurrences(families):
+    return sorted({sequences._RECURRENCES[k][1:3] for k in families})
+
+
 # derived kind -> the core families its general term reads (index n >= 1)
 FAMILIES_READ = {
     K.Bstar: [K.B], K.Cstar: [K.C], K.bstarstar: [K.b], K.cstarstar: [K.c],
@@ -468,10 +485,38 @@ FAMILIES_READ = {
 
 
 @pytest.mark.parametrize("kind", list(FAMILIES_READ), ids=lambda k: k.value)
-def test_derived_term_runs_one_chain_per_family(kind, monkeypatch):
-    real, chains = sequences._pair, []
-    monkeypatch.setattr(sequences, "_pair", lambda k, n: chains.append(k) or real(k, n))
+def test_derived_term_runs_one_chain_per_family(kind, chains):
+    # one chain per recurrence read: Bss and Css read B and C from the same one
     for n in (1, 2, 7, 8, 3001, 3002):
         chains.clear()
         term(kind, n)
-        assert sorted(chains, key=sequences.CORE_KINDS.index) == FAMILIES_READ[kind], n
+        assert chains == _recurrences(FAMILIES_READ[kind]) == [(6, -1)], n
+
+
+@pytest.mark.parametrize("kind", CORE_KINDS, ids=lambda k: k.value)
+def test_core_term_runs_one_chain(kind, chains):
+    for n in (0, 1, 3001):
+        chains.clear()
+        term(kind, n)
+        assert chains == _recurrences([kind]), n
+
+
+def test_prime_residue_tables_hold_the_squares():
+    assert sequences._PRIME_MODULUS == math.prod(sequences._PRIME_SQUARES)
+    for p, squares in sequences._PRIME_SQUARES.items():
+        assert all(p % d for d in range(2, p)), p
+        assert {r for r in range(p) if squares >> r & 1} == {i * i % p for i in range(p)}, p
+
+
+@pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
+def test_residue_stage_rejects_before_witness_and_root(kind, monkeypatch, square_roots):
+    # deep non-members next to members that pass the first residue filter
+    first, rad = _crossing(kind), RADICANDS[kind]
+    values = [y for n in (first, first + 7, 2 * first) for x in [term(kind, n)]
+              for y in range(x + 1, x + 200) if square_residue(rad(y))]
+    assert len(values) >= 6 and all(not _plain_member(kind, y)[0] for y in values)
+    streams, real = [], sequences.terms
+    monkeypatch.setattr(sequences, "terms", lambda k, start=0: streams.append(k) or real(k, start))
+    for y in values:
+        assert is_member(kind, y) == (False, None)
+    assert streams == [] and square_roots == []
