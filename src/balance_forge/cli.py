@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -34,6 +33,7 @@ def _default_format() -> str:
 
 
 def _jsonl(obj: dict) -> str:
+    import json  # loaded on first use, off the import path
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

@@ -14,30 +14,25 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .quadarith import (
     is_perfect_square,
     isqrt,
+    record,
     tau_rho_coords,
 )
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(record("QuadraticForm", "a b c")):
     """Integer binary quadratic form with positive non-square discriminant."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __new__(cls, a: int, b: int, c: int):
+        self = tuple.__new__(cls, (a, b, c))
+        if a == 0 or (d := self.delta) <= 0 or isqrt(d) ** 2 == d:
             raise ValueError("degenerate discriminant")
-        d = self.delta
-        if d <= 0 or isqrt(d) ** 2 == d:
-            raise ValueError("degenerate discriminant")
+        return self
 
     @property
     def delta(self) -> int:
@@ -47,18 +42,16 @@ class QuadraticForm:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
 
-@dataclass(frozen=True)
-class OrbitMatrix:
+class OrbitMatrix(record("OrbitMatrix", "m11 m12 m21 m22")):
     """Unimodular matrix acting on solution rows ``[x y]`` from the right."""
 
-    m11: int
-    m12: int
-    m21: int
-    m22: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, m11: int, m12: int, m21: int, m22: int):
+        self = tuple.__new__(cls, (m11, m12, m21, m22))
         if self.det() != 1:
             raise ValueError("orbit matrix must have determinant 1")
+        return self
 
     def det(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21
@@ -93,15 +86,10 @@ class OrbitMatrix:
         return ((self.m11, self.m12), (self.m21, self.m22))
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(record("Solution", "x y rep exponent sign")):
     """One emitted solution with its orbit provenance."""
 
-    x: int
-    y: int
-    rep: int
-    exponent: int
-    sign: int
+    __slots__ = ()
 
     def pair(self) -> tuple[int, int]:
         return (self.x, self.y)
@@ -138,18 +126,24 @@ def rep_bound(form: QuadraticForm, m: int) -> Fraction:
     only err upward: extra ``y`` candidates cost a redundant scan step,
     never a lost orbit.
     """
+    from fractions import Fraction  # the solver itself reads only the numerator
+    return Fraction(_bound_numerator(form, m), 1 << 64)
+
+
+def _bound_numerator(form: QuadraticForm, m: int) -> int:
+    """``rep_bound(form, m)`` times 2^64, an integer."""
     am = form.a * m
     if am == 0:
         raise ValueError("degenerate right-hand side")
     delta = form.delta
     X, _ = _unit_trace(delta)
     num = abs(am) * (X - 2 if am > 0 else X + 2)
-    return Fraction(isqrt((num << 128) // delta) + 1, 1 << 64)
+    return isqrt((num << 128) // delta) + 1
 
 
 def _search_ceiling(form: QuadraticForm, m: int) -> int:
     # floor of the over-approximation, plus one step of slack
-    return int(rep_bound(form, m)) + 1
+    return (_bound_numerator(form, m) >> 64) + 1
 
 
 def _key(row):

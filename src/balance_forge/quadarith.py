@@ -16,7 +16,7 @@ fundamental units of the order attached to a discriminant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def isqrt(x: int) -> int:
@@ -63,6 +63,24 @@ def is_perfect_square(x: int) -> tuple[bool, int | None]:
     return False, None
 
 
+def _same(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def record(name: str, fields: str, defaults=None) -> type:
+    """A named-tuple base for an immutable value type, hashed as its tuple.
+
+    A record equals only a record of its own class, never a plain tuple.  A
+    subclass declares ``__slots__ = ()`` and checks its arguments in
+    ``__new__``, which ``_make`` and ``_replace`` also go through.
+    """
+    cls = namedtuple(name, fields, defaults=defaults)
+    cls.__eq__, cls.__hash__ = _same, tuple.__hash__
+    cls.__ne__ = lambda self, other: not _same(self, other)
+    cls._make = classmethod(lambda cls, values: cls(*values))
+    return cls
+
+
 def _is_square(x: int) -> bool:
     return x >= 0 and math.isqrt(x) ** 2 == x
 
@@ -72,22 +90,20 @@ def _validate_radicand(d: int) -> None:
         raise ValueError("degenerate discriminant")
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(record("QuadInt", "p q d")):
     """An element of the real quadratic ring with radicand ``d``.
 
     ``p`` is the rational part, ``q`` the coefficient of ``sqrt(d)``; for
     ``d % 4 == 1`` the stored pair is doubled (see module docstring).
     """
 
-    p: int
-    q: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _validate_radicand(self.d)
-        if self.d % 4 == 1 and (self.p - self.q) % 2 != 0:
+    def __new__(cls, p: int, q: int, d: int):
+        _validate_radicand(d)
+        if d % 4 == 1 and (p - q) % 2 != 0:
             raise ValueError("parity violation")
+        return tuple.__new__(cls, (p, q, d))
 
     @property
     def half(self) -> bool:
@@ -175,12 +191,10 @@ def quad_pow(x: QuadInt, n: int) -> QuadInt:
     return out
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(record("ContinuedFraction", "a0 period")):
     """Eventually periodic continued fraction ``[a0; period repeating]``."""
 
-    a0: int
-    period: tuple[int, ...]
+    __slots__ = ()
 
     def digits(self, count: int):
         """First ``count`` partial quotients."""

@@ -33,15 +33,13 @@ Identity groups and entry counts (the auditable catalog):
 
 from __future__ import annotations
 
-import json
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from types import SimpleNamespace
 
 from .pellsolver import QuadraticForm, solutions
-from .quadarith import is_perfect_square
+from .quadarith import is_perfect_square, record
 # term and term_binet stay module globals: perfbench's tracer wraps them here
 from .sequences import (  # noqa: F401
     CORE_KINDS, _DERIVED, BalancerKind, SequenceKind, balancer, closed_form_terms, term,
@@ -126,11 +124,8 @@ def _xsqrt(x: int) -> int:
     return root
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    id: str
-    start: int
-    fn: object  # (SequenceValues, n) -> (lhs, rhs)
+class IdentityCheck(record("IdentityCheck", "id start fn")):
+    __slots__ = ()  # fn: (SequenceValues, n) -> (lhs, rhs)
 
     @property
     def group(self) -> str:
@@ -268,14 +263,12 @@ def _almost_cobalancer(S: SequenceValues, first_type: bool, k: int) -> int:
     return balancer(BalancerKind.rstarstar, S.bss(k))
 
 
-@dataclass(frozen=True)
-class CandidateIdentity:
-    """An identity whose balancer type/index pairing is fixed empirically."""
+class CandidateIdentity(record("CandidateIdentity", "id start lhs candidates")):
+    """An identity whose balancer type/index pairing is fixed empirically.
 
-    id: str
-    start: int
-    lhs: object  # (S, n) -> int
-    candidates: tuple[tuple[str, object], ...]  # (label, (S, n) -> int)
+    ``lhs`` and each ``rhs`` of the ``(label, rhs)`` candidates map ``(S, n)`` to an int."""
+
+    __slots__ = ()
 
 
 def _pairings(fn):
@@ -307,14 +300,9 @@ CATALOG_COUNTS = {
 GROUPS = tuple(CATALOG_COUNTS)
 
 
-@dataclass
-class VerificationReport:
-    id: str
-    lo: int
-    hi: int
-    status: str
-    counterexample: dict | None = None
-    note: str | None = None
+class VerificationReport(record("VerificationReport", "id lo hi status counterexample note",
+                                defaults=(None, None))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -330,6 +318,7 @@ class VerificationReport:
 
 
 def reports_to_jsonl(reports) -> str:
+    import json  # loaded on first use, off the import path
     return "\n".join(
         json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
         for r in reports
@@ -465,6 +454,8 @@ def _run_solution_set(equation: str, count: int, S: SequenceValues) -> Verificat
     if count < 1:
         raise ValueError("arguments positive")
     coeffs, m, families = PELL_EQUATIONS[equation]
+    for fam in families:  # fill each column at once
+        fam(S, count)
     form = QuadraticForm(*coeffs)
     got = [sol.pair() for sol in solutions(form, m, count=count, positive=True)]
     expected = sorted({fam(S, n) for fam in families for n in range(1, count + 1)})

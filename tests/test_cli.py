@@ -119,6 +119,19 @@ def test_solve_wide_window_without_numpy():
     assert proc.stdout.splitlines() == SOLVED_277
 
 
+def test_import_leaves_heavy_standard_modules_unloaded():
+    # dataclasses (with inspect), fractions (with decimal) and json each cost
+    # more to import than this package's own code; no run needs them loaded
+    script = ("import sys, balance_forge.cli\n"
+              "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'json'}"
+              " & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(balance_forge.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_solve_unfactorable_right_hand_side_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(pellsolver, "_factor", lambda n: None)
     code, out, err = run(capsys, *SOLVE_277)

@@ -19,7 +19,7 @@ from balance_forge.pellsolver import (
     representatives,
     solutions,
 )
-from balance_forge.quadarith import is_perfect_square, tau
+from balance_forge.quadarith import QuadInt, is_perfect_square, tau
 from balance_forge.sequences import SequenceKind, term
 
 F32 = QuadraticForm(8, 0, -1)
@@ -38,6 +38,13 @@ def test_orbit_matrix_anchors():
     assert orbit_matrix(F32).rows() == ((3, 8), (1, 3))
     assert orbit_matrix(F8).rows() == ((3, 4), (2, 3))
     assert orbit_matrix(F8).det() == 1
+    # records of two classes with equal fields differ, as do a record and its tuple
+    assert orbit_matrix(F32) == OrbitMatrix(3, 8, 1, 3) != (3, 8, 1, 3)
+    assert hash(orbit_matrix(F32)) == hash(OrbitMatrix(3, 8, 1, 3))
+    assert QuadraticForm(-1, 1, 3) != QuadInt(-1, 1, 3)
+    assert tuple(QuadraticForm(-1, 1, 3)) == tuple(QuadInt(-1, 1, 3))
+    with pytest.raises(AttributeError):
+        F32.a = 2
 
 
 def test_orbit_matrix_odd_discriminant():
@@ -225,6 +232,8 @@ def test_stream_order_dedup_and_tags():
     pairs = [s.pair() for s in sols]
     assert pairs == sorted(pairs, key=lambda p: (abs(p[0]), p[0], p[1]))
     assert len(set(pairs)) == len(pairs)
+    assert repr(sols[0]) == "Solution(x=0, y=-3, rep=0, exponent=0, sign=-1)"
+    assert sols[0] != (0, -3, 0, 0, -1) and sols[0] == Solution(0, -3, 0, 0, -1)
     for s in sols:
         assert s.sign in (1, -1)
         assert 0 <= s.rep < len(representatives(F32, -9))
@@ -248,6 +257,7 @@ def test_stream_is_the_first_keys_of_brute_force():
             m = rng.choice((-1, 1)) * rng.randint(1, 500)
         if m == 0 or _search_ceiling(form, m) > 10**6:
             continue
+        assert _search_ceiling(form, m) == int(rep_bound(form, m)) + 1, (form, m)
         count = rng.randint(1, 10)
         got = solutions(form, m, count=count)
         bound = max((abs(s.x) for s in got), default=200)
@@ -553,6 +563,13 @@ def _diop_dn_cases():
             cases.append((D, N))
     # 4*N just below 2^63, and 4*N = 2^64
     return cases + [(7, 2305842611402533653), (2, 4611686018427387904)]
+
+
+def test_search_ceiling_is_the_floor_of_rep_bound_plus_one():
+    # the solver's integer ceiling and the public Fraction bound agree
+    for D, N in _diop_dn_cases():
+        form = QuadraticForm(1, 0, -D)
+        assert _search_ceiling(form, N) == int(rep_bound(form, N)) + 1, (D, N)
 
 
 def test_solvability_and_fundamental_solutions_match_diop_dn():

@@ -110,6 +110,17 @@ def test_quad_examples():
     assert quad_pow(alpha, 2) == QuadInt(3, 2, 2)
     assert quad_norm(alpha) == -1
     assert quad_pow(QuadInt(3, 1, 8), 2) == QuadInt(17, 6, 8)
+    # a record equals only records of its own class, hashes as its tuple,
+    # prints its fields by name and cannot be assigned to
+    assert alpha == QuadInt(p=1, q=1, d=2) and hash(alpha) == hash(QuadInt(1, 1, 2))
+    assert alpha != (1, 1, 2) and not alpha == (1, 1, 2) and tuple(alpha) == (1, 1, 2)
+    assert repr(alpha) == "QuadInt(p=1, q=1, d=2)"
+    for name in ("p", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(alpha, name, 2)
+    assert alpha._replace(q=3) == QuadInt(1, 3, 2)
+    with pytest.raises(ValueError, match="degenerate discriminant"):
+        alpha._replace(d=4)
 
 
 def test_ring_mismatch():
@@ -176,6 +187,8 @@ def test_sqrt_continued_fraction_known():
     assert sqrt_continued_fraction(2) == ContinuedFraction(1, (2,))
     assert sqrt_continued_fraction(8) == ContinuedFraction(2, (1, 4))
     assert sqrt_continued_fraction(13) == ContinuedFraction(3, (1, 1, 1, 1, 6))
+    assert sqrt_continued_fraction(2) != (1, (2,))
+    assert repr(sqrt_continued_fraction(2)) == "ContinuedFraction(a0=1, period=(2,))"
 
 
 def test_sqrt_continued_fraction_keeps_no_state_table():

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import weakref
@@ -14,6 +13,7 @@ from balance_forge.verifier import (
     INTERLOCK,
     PELL_EQUATIONS,
     SequenceValues,
+    VerificationReport,
     reports_to_jsonl,
     verify,
     verify_all,
@@ -239,6 +239,14 @@ def test_jsonl_round_trip():
 def test_report_dict_shape():
     report = verify("pellk.B", 5)
     assert report.to_dict() == {"id": "pellk.B", "range": [1, 5], "status": "pass"}
+    # a report is an immutable record; counterexample and note default to None
+    assert report == VerificationReport(id="pellk.B", lo=1, hi=5, status="pass")
+    assert report != ("pellk.B", 1, 5, "pass", None, None)
+    assert hash(report) == hash(VerificationReport("pellk.B", 1, 5, "pass", None, None))
+    assert repr(report) == ("VerificationReport(id='pellk.B', lo=1, hi=5, status='pass', "
+                            "counterexample=None, note=None)")
+    with pytest.raises(AttributeError):
+        report.status = "fail"
 
 
 @pytest.fixture
@@ -325,7 +333,7 @@ def test_each_identity_is_evaluated_once(monkeypatch, built, id):
         calls.append(n)
         return check.fn(S, n)
 
-    monkeypatch.setitem(verifier._CHECK_BY_ID, id, dataclasses.replace(check, fn=counted_fn))
+    monkeypatch.setitem(verifier._CHECK_BY_ID, id, check._replace(fn=counted_fn))
     assert verify(id, 200).passed
     assert 200 - check.start + 1 <= len(calls) <= 200 - check.start + 2
     assert [S.route for S in built] == ["recurrence", "binet"]
@@ -353,13 +361,15 @@ def test_routes_agree_deep():
             binet.value(kind, n) for n in range(3001)], kind
 
 
-@pytest.mark.parametrize("id", [cand.id for cand in INTERLOCK])
+@pytest.mark.parametrize("id", [cand.id for cand in INTERLOCK] + ["teo1", "teo3"])
 def test_interlock_fills_each_column_at_once(monkeypatch, id):
     # one evaluation at the top of the range fills the columns before the
-    # ascending scan, which then only reads them
+    # ascending scan, which then only reads them; so do the solution sets
+    # of teo1 and teo3, at the top of their count
     fills = []
     missing = verifier._Column.__missing__
     monkeypatch.setattr(verifier._Column, "__missing__",
                         lambda column, n: fills.append(n) or missing(column, n))
-    assert verify(id, 1000).passed
+    reports = verify_group(id, 1000, 50) if id in GROUPS else [verify(id, 1000)]
+    assert all(report.passed for report in reports)
     assert len(fills) <= 10
