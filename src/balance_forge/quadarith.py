@@ -113,20 +113,21 @@ class QuadInt(record("QuadInt", "p q d")):
         if self.d != other.d:
             raise ValueError("ring mismatch")
 
+    # the ring and its parity rule are closed under these, so no result is checked
     def __add__(self, other: "QuadInt") -> "QuadInt":
         self._check_ring(other)
-        return QuadInt(self.p + other.p, self.q + other.q, self.d)
+        return tuple.__new__(QuadInt, (self.p + other.p, self.q + other.q, self.d))
 
     def __sub__(self, other: "QuadInt") -> "QuadInt":
         self._check_ring(other)
-        return QuadInt(self.p - other.p, self.q - other.q, self.d)
+        return tuple.__new__(QuadInt, (self.p - other.p, self.q - other.q, self.d))
 
     def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.p, -self.q, self.d)
+        return tuple.__new__(QuadInt, (-self.p, -self.q, self.d))
 
     def __mul__(self, other: "QuadInt | int") -> "QuadInt":
         if isinstance(other, int):
-            return QuadInt(self.p * other, self.q * other, self.d)
+            return tuple.__new__(QuadInt, (self.p * other, self.q * other, self.d))
         self._check_ring(other)
         if other is self:
             # a square takes three multiplications, two of them squarings
@@ -137,8 +138,8 @@ class QuadInt(record("QuadInt", "p q d")):
             qq = self.p * other.q + self.q * other.p
         if self.half:
             # parity of the inputs guarantees both halves are exact
-            return QuadInt(pp // 2, qq // 2, self.d)
-        return QuadInt(pp, qq, self.d)
+            pp, qq = pp // 2, qq // 2
+        return tuple.__new__(QuadInt, (pp, qq, self.d))
 
     def __rmul__(self, other: int) -> "QuadInt":
         return self * other
@@ -147,7 +148,7 @@ class QuadInt(record("QuadInt", "p q d")):
         return quad_pow(self, n)
 
     def conj(self) -> "QuadInt":
-        return QuadInt(self.p, -self.q, self.d)
+        return tuple.__new__(QuadInt, (self.p, -self.q, self.d))
 
     def norm(self) -> int:
         n = self.p * self.p - self.d * self.q * self.q
@@ -175,20 +176,31 @@ def quad_norm(x: QuadInt) -> int:
 
 
 def quad_pow(x: QuadInt, n: int) -> QuadInt:
-    """``x**n`` by left-to-right binary powering, ``n >= 0``.
+    """``x**n`` by left-to-right binary powering on the raw pair, ``n >= 0``.
 
-    Each step squares the running product and, on a set bit, multiplies it
-    by ``x`` itself, so for a small base such as ``1 + sqrt(2)`` the
-    multiplications cost next to nothing beside the squarings.
+    As ``p^2 - d*q^2`` is ``scale`` (4 on half coordinates, else 1) times
+    the norm, a unit's power reads ``p^2`` from ``q^2`` and ``2pq`` from
+    ``(p + q)^2``: two squarings per bit.  Any other base squares ``p`` and
+    ``q`` and multiplies them.  A set bit multiplies by ``x`` itself, next
+    to nothing beside the squarings for a small base such as ``1 + sqrt(2)``.
     """
     if n < 0:
         raise ValueError("negative exponent")
-    out = QuadInt.one(x.d)
+    P, Q, d = x
+    h = 1 if x.half else 0  # each product is halved on half coordinates
+    scale, norm = 4 ** h, P * P - d * Q * Q
+    unit = norm in (scale, -scale)
+    p, q, pnorm = 1 << h, 0, scale  # x**0 and its p^2 - d*q^2
     for bit in bin(n)[2:]:
-        out = out * out
+        qq = q * q
+        if unit:  # p^2 = d*q^2 + pnorm
+            pp, pq2 = d * qq + pnorm, (s := p + q) * s - (d + 1) * qq - pnorm
+        else:
+            pp, pq2 = p * p, 2 * (p * q)
+        p, q, pnorm = pp + d * qq >> h, pq2 >> h, scale
         if bit == "1":
-            out = out * x
-    return out
+            p, q, pnorm = p * P + d * q * Q >> h, p * Q + q * P >> h, norm
+    return tuple.__new__(QuadInt, (p, q, d))
 
 
 class ContinuedFraction(record("ContinuedFraction", "a0 period")):
@@ -296,12 +308,12 @@ def _tau_pair(delta: int) -> tuple[int, int]:
 
     The value is ``(X + Y*sqrt(delta)) / 2``; a fundamental unit of norm -1
     is squared, which in this form maps ``(X, Y)`` to
-    ``((X^2 + delta*Y^2)/2, X*Y)``.
+    ``((X^2 + delta*Y^2)/2, X*Y) = (X^2 + 2, X*Y)``.
     """
     _validate_discriminant(delta)
     X, Y = _unit_delta_pair(delta)
-    if X * X - delta * Y * Y == -4:
-        X, Y = (X * X + delta * Y * Y) // 2, X * Y
+    if (xx := X * X) - delta * (Y * Y) == -4:
+        X, Y = xx + 2, X * Y
     return X, Y
 
 

@@ -101,19 +101,20 @@ CORE_KINDS = tuple(_RECURRENCES)
 def _chain(s1: int, s2: int, n: int) -> tuple[int, int]:
     """``(U(n), U(n+1))`` of the recurrence ``(s1, s2)`` in O(log n) steps (``n >= 0``).
 
-    A Lucas chain: with ``P = s1``, ``Q = -s2`` and ``D = P^2 - 4Q``, the
-    Lucas sequences ``U`` (``U(0) = 0, U(1) = 1``) and ``V`` (``V(0) = 2,
-    V(1) = P``) of the recurrence double as ``U(2i) = U(i)V(i)``,
-    ``V(2i) = V(i)^2 - 2Q^i`` and step as ``U(i+1) = (P U(i) + V(i)) / 2``,
-    ``V(i+1) = (D U(i) + P V(i)) / 2``: two multiplications per bit of ``n``.
+    A Lucas chain of two squarings per bit of ``n``, for ``s1 != 0``: with
+    ``Q = -s2``, the sequence ``U`` (``U(0) = 0, U(1) = 1``) of the
+    recurrence doubles as ``U(2i+1) = U(i+1)^2 - Q U(i)^2`` and
+    ``U(2i) = 2 U(i)U(i+1) - s1 U(i)^2``, where Cassini's identity
+    ``U(i+1)^2 - U(i)U(i+2) = Q^i`` gives the cross term exactly:
+    ``s1 U(i)U(i+1) = U(i+1)^2 + Q U(i)^2 - Q^i``.
     """
-    d = s1 * s1 + 4 * s2
-    u, v, qi = 0, 2, 1  # U(i), V(i), Q^i at i = 0
+    u, u1, qi = 0, 1, 1  # U(i), U(i+1), Q^i at i = 0
     for bit in bin(n)[2:]:
-        u, v, qi = u * v, v * v - 2 * qi, qi * qi
+        a, b = u * u, u1 * u1
+        u, u1, qi = 2 * (b - s2 * a - qi) // s1 - s1 * a, b + s2 * a, qi * qi
         if bit == "1":
-            u, v, qi = (s1 * u + v) // 2, (d * u + s1 * v) // 2, -qi * s2
-    return u, (s1 * u + v) // 2
+            u, u1, qi = u1, s1 * u1 + s2 * u, -s2 * qi
+    return u, u1
 
 
 def _stepped(kind: SequenceKind, n: int, chains: dict):

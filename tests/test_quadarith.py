@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from balance_forge.quadarith import (
     ContinuedFraction,
     QuadInt,
+    _tau_pair,
+    _unit_delta_pair,
     fundamental_unit,
     is_perfect_square,
     isqrt,
@@ -96,8 +99,8 @@ def test_is_perfect_square_near_big_squares(k, shift):
 
 @pytest.mark.parametrize("d", [2, 5, 13, 331])
 def test_quad_pow_matches_repeated_product(d):
-    # d = 5 and 13 use half coordinates
-    for p, q in ((1, 1), (3, -1), (-2, 4), (7, 5)):
+    # d = 5 and 13 use half coordinates; (0, 0) is zero, (2, 0) a rational non-unit
+    for p, q in ((1, 1), (3, -1), (-2, 4), (7, 5), (0, 0), (2, 0)):
         x = _element(d, p, q)
         product = QuadInt.one(d)
         for n in range(41):
@@ -129,14 +132,17 @@ def test_ring_mismatch():
 
 
 def test_invalid_radicand():
-    for d in (0, -2, 4, 9):
+    for d in (0, -2, 1, 4, 9, 16):
         with pytest.raises(ValueError, match="degenerate discriminant"):
             QuadInt(1, 1, d)
 
 
 def test_half_ring_parity_enforced():
-    with pytest.raises(ValueError, match="parity violation"):
-        QuadInt(1, 0, 5)
+    for p, q, d in ((1, 0, 5), (2, 1, 13), (0, 3, 21)):
+        with pytest.raises(ValueError, match="parity violation"):
+            QuadInt(p, q, d)
+        with pytest.raises(ValueError, match="parity violation"):
+            QuadInt._make((p, q, d))
 
 
 def test_half_ring_arithmetic():
@@ -307,3 +313,50 @@ def test_tau_rho_coords_rebuild_tau_below_2000():
         t = tau(delta)
         assert QuadInt.one(t.d) * u + _rho(delta) * v == t, delta
         assert t.norm() == 1, delta
+
+
+# norm -1 and +1 units on plain and on half coordinates, and their negatives
+UNITS = [QuadInt(1, 1, 2), QuadInt(3, 2, 2), QuadInt(1, 1, 5), QuadInt(3, 1, 5),
+         QuadInt(-1, 1, 2), QuadInt(1, -1, 5), QuadInt(-3, -1, 5)]
+
+
+@pytest.mark.parametrize("x", UNITS, ids=lambda x: f"{x.p},{x.q},{x.d}")
+def test_unit_powers_match_repeated_product(x):
+    assert abs(x.norm()) == 1
+    product = QuadInt.one(x.d)
+    for n in range(3001):
+        assert quad_pow(x, n) == product, n
+        product = product * x
+
+
+@pytest.mark.parametrize("d", [5, 13, 21])
+def test_half_ring_operations_keep_parity_and_values(d):
+    # every result equals the checked constructor applied to its formula
+    rng = random.Random(d)
+    for _ in range(300):
+        x, y = (_element(d, rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
+                for _ in range(2))
+        k = rng.randrange(-50, 50)
+        expected = [
+            (x + y, QuadInt(x.p + y.p, x.q + y.q, d)),
+            (x - y, QuadInt(x.p - y.p, x.q - y.q, d)),
+            (-x, QuadInt(-x.p, -x.q, d)),
+            (x.conj(), QuadInt(x.p, -x.q, d)),
+            (x * k, QuadInt(x.p * k, x.q * k, d)),
+            (k * x, QuadInt(x.p * k, x.q * k, d)),
+            (x * y, QuadInt((x.p * y.p + d * x.q * y.q) // 2, (x.p * y.q + x.q * y.p) // 2, d)),
+            (x * x, QuadInt((x.p * x.p + d * x.q * x.q) // 2, x.p * x.q, d)),
+        ]
+        for got, want in expected:
+            assert type(got) is QuadInt and got == want and (got.p - got.q) % 2 == 0
+
+
+def test_tau_pair_squares_norm_minus_one_units_as_before_below_5000():
+    for delta in range(5, 5000):
+        if delta % 4 in (2, 3) or is_perfect_square(delta)[0]:
+            continue
+        X, Y = _unit_delta_pair(delta)
+        if X * X - delta * Y * Y == -4:
+            X, Y = (X * X + delta * Y * Y) // 2, X * Y
+        assert _tau_pair(delta) == (X, Y), delta
+        assert X * X - delta * Y * Y == 4, delta

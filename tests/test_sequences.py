@@ -520,3 +520,34 @@ def test_residue_stage_rejects_before_witness_and_root(kind, monkeypatch, square
     for y in values:
         assert is_member(kind, y) == (False, None)
     assert streams == [] and square_roots == []
+
+
+def _matrix_mul(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _matrix_power(m, n):
+    """``m**n`` for a 2x2 matrix by binary powering with plain products."""
+    out = ((1, 0), (0, 1))
+    for bit in bin(n)[2:]:
+        out = _matrix_mul(out, out)
+        if bit == "1":
+            out = _matrix_mul(out, m)
+    return out
+
+
+# the two recurrences of the families, then Fibonacci and two with |Q| > 1
+@pytest.mark.parametrize("s1,s2", [(6, -1), (2, 1), (1, 1), (3, -2), (-2, 3)])
+def test_chain_matches_the_companion_matrix_power(s1, s2):
+    # ((s1, s2), (1, 0))**n = ((U(n+1), s2 U(n)), (U(n), s2 U(n-1)))
+    step, power = ((s1, s2), (1, 0)), ((1, 0), (0, 1))
+    for n in range(3001):
+        assert sequences._chain(s1, s2, n) == (power[1][0], power[0][0]), n
+        power = _matrix_mul(power, step)
+    if (s1, s2) in ((6, -1), (2, 1)):
+        rng = random.Random(13)
+        for n in [rng.randrange(3001, 200_001) for _ in range(50)]:
+            power = _matrix_power(step, n)
+            assert sequences._chain(s1, s2, n) == (power[1][0], power[0][0]), n
