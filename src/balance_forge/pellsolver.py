@@ -15,12 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .quadarith import (
-    is_perfect_square,
-    isqrt,
-    record,
-    tau_rho_coords,
-)
+from .quadarith import is_perfect_square, isqrt, lucas_chain, record, tau_rho_coords
 
 
 class QuadraticForm(record("QuadraticForm", "a b c")):
@@ -68,15 +63,15 @@ class OrbitMatrix(record("OrbitMatrix", "m11 m12 m21 m22")):
         )
 
     def power(self, n: int) -> "OrbitMatrix":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = OrbitMatrix(1, 0, 0, 1)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        """``M^n = U(n) M - U(n-1) I``, ``U`` of ``(trace, -1)`` by one Lucas chain.
+
+        On the inverse for ``n < 0``; ``M^2 = -I`` at trace 0.  Only the result's
+        determinant is checked.
+        """
+        base, t, k = self if n >= 0 else self.inverse(), self.m11 + self.m22, abs(n)
+        u, u1 = lucas_chain(t, -1, k) if t else ((0, 1, 0, -1)[k % 4], (1, 0, -1, 0)[k % 4])
+        v = t * u - u1  # U(n-1)
+        return OrbitMatrix(u * base.m11 - v, u * base.m12, u * base.m21, u * base.m22 - v)
 
     def apply(self, row: tuple[int, int]) -> tuple[int, int]:
         x, y = row

@@ -175,6 +175,25 @@ def quad_norm(x: QuadInt) -> int:
     return x.norm()
 
 
+def lucas_chain(s1: int, s2: int, n: int) -> tuple[int, int]:
+    """``(U(n), U(n+1))`` of the recurrence ``(s1, s2)`` in O(log n) steps (``n >= 0``).
+
+    A Lucas chain of two squarings per bit of ``n``, for ``s1 != 0``: with
+    ``Q = -s2``, the sequence ``U`` (``U(0) = 0, U(1) = 1``) of the
+    recurrence doubles as ``U(2i+1) = U(i+1)^2 - Q U(i)^2`` and
+    ``U(2i) = 2 U(i)U(i+1) - s1 U(i)^2``, where Cassini's identity
+    ``U(i+1)^2 - U(i)U(i+2) = Q^i`` gives the cross term exactly:
+    ``s1 U(i)U(i+1) = U(i+1)^2 + Q U(i)^2 - Q^i``.
+    """
+    u, u1, qi = 0, 1, 1  # U(i), U(i+1), Q^i at i = 0
+    for bit in bin(n)[2:]:
+        a, b = u * u, u1 * u1
+        u, u1, qi = 2 * (b - s2 * a - qi) // s1 - s1 * a, b + s2 * a, qi * qi
+        if bit == "1":
+            u, u1, qi = u1, s1 * u1 + s2 * u, -s2 * qi
+    return u, u1
+
+
 def quad_pow(x: QuadInt, n: int) -> QuadInt:
     """``x**n`` by left-to-right binary powering on the raw pair, ``n >= 0``.
 

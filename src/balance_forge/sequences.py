@@ -56,6 +56,7 @@ from math import prod
 from types import SimpleNamespace
 
 from .quadarith import SQUARE_RESIDUE_MODULUS, QuadInt, is_perfect_square, quad_pow, square_residue
+from .quadarith import lucas_chain as _chain  # a module global: tests count calls through it
 
 
 class SequenceKind(Enum):
@@ -98,37 +99,33 @@ _RECURRENCES = {
 CORE_KINDS = tuple(_RECURRENCES)
 
 
-def _chain(s1: int, s2: int, n: int) -> tuple[int, int]:
-    """``(U(n), U(n+1))`` of the recurrence ``(s1, s2)`` in O(log n) steps (``n >= 0``).
-
-    A Lucas chain of two squarings per bit of ``n``, for ``s1 != 0``: with
-    ``Q = -s2``, the sequence ``U`` (``U(0) = 0, U(1) = 1``) of the
-    recurrence doubles as ``U(2i+1) = U(i+1)^2 - Q U(i)^2`` and
-    ``U(2i) = 2 U(i)U(i+1) - s1 U(i)^2``, where Cassini's identity
-    ``U(i+1)^2 - U(i)U(i+2) = Q^i`` gives the cross term exactly:
-    ``s1 U(i)U(i+1) = U(i+1)^2 + Q U(i)^2 - Q^i``.
-    """
-    u, u1, qi = 0, 1, 1  # U(i), U(i+1), Q^i at i = 0
-    for bit in bin(n)[2:]:
-        a, b = u * u, u1 * u1
-        u, u1, qi = 2 * (b - s2 * a - qi) // s1 - s1 * a, b + s2 * a, qi * qi
-        if bit == "1":
-            u, u1, qi = u1, s1 * u1 + s2 * u, -s2 * qi
-    return u, u1
-
-
 def _stepped(kind: SequenceKind, n: int, chains: dict):
     """``v(n), v(n+1), ...`` of a core family: read from one chain, then stepped.
 
     Any solution is ``z(i) = (z(1) - s1 z(0)) U(i) + z(0) U(i+1)``; an affine
     row is read as ``z = k*v - add``, ``k = 1 - s1 - s2``.  ``chains`` keeps
-    the chains run, by recurrence and index, for a stream's families.
+    the chains run, by recurrence and index, for a stream's families.  With
+    ``s2 = -1`` or ``1`` a step is one product by ``s1`` and one subtraction or
+    addition, plus ``add`` if not 0; other rows step as they stand.  The
+    verifier compares each entry with ``closed_form_terms`` as its columns fill.
     """
     (v0, v1), s1, s2, add = _RECURRENCES[kind]
     k = 1 - s1 - s2 if add else 1
     z0, z1 = k * v0 - add, k * v1 - add
     u, u1 = chains.get((s1, s2, n)) or chains.setdefault((s1, s2, n), _chain(s1, s2, n))
     a, b = ((z1 - s1 * z0) * u + z0 * u1 + add) // k, (z1 * u1 + s2 * z0 * u + add) // k
+    if s2 == -1 and not add:  # B, C and c
+        while True:
+            yield a
+            a, b = b, s1 * b - a
+    if s2 == -1:  # b
+        while True:
+            yield a
+            a, b = b, s1 * b - a + add
+    if s2 == 1 and not add:  # P
+        while True:
+            yield a
+            a, b = b, s1 * b + a
     while True:
         yield a
         a, b = b, s1 * b + s2 * a + add
@@ -215,8 +212,8 @@ _ALPHA = QuadInt(1, 1, 2)
 # core kind -> (stride, offset, read): v(n) = read(p, q) where
 # p + q*sqrt(2) = (1 + sqrt(2))**(stride*n + offset)
 _CLOSED_FORMS = {
-    SequenceKind.B: (2, 0, lambda p, q: q // 2),
-    SequenceKind.b: (2, -1, lambda p, q: (q - 1) // 2),
+    SequenceKind.B: (2, 0, lambda p, q: q >> 1),  # floor division by 2, as a shift
+    SequenceKind.b: (2, -1, lambda p, q: (q - 1) >> 1),
     SequenceKind.C: (2, 0, lambda p, q: p),
     SequenceKind.c: (2, -1, lambda p, q: p),
     SequenceKind.P: (1, 0, lambda p, q: q),
@@ -237,7 +234,8 @@ def term_binet(kind: SequenceKind, n: int) -> int:
 def closed_form_terms(kind: SequenceKind):
     """``v(0), v(1), ...`` of a core family from successive powers of ``1 + sqrt(2)``.
 
-    Index 0 of ``b`` and ``c`` reads ``(1 + sqrt(2))**-1 = -1 + sqrt(2)``.
+    Index 0 of ``b`` and ``c`` reads ``(1 + sqrt(2))**-1 = -1 + sqrt(2)``.  A
+    checked verifier column compares it with the recurrence route and stores none of it.
     """
     if kind not in _CLOSED_FORMS:
         raise ValueError("no closed form")
@@ -245,8 +243,9 @@ def closed_form_terms(kind: SequenceKind):
     p, q = (1, 0) if offset == 0 else (-1, 1)
     while True:
         yield read(p, q)
-        if stride == 1:  # times 1 + sqrt(2), by additions only
-            p, q = p + q + q, p + q
+        if stride == 1:  # times 1 + sqrt(2), by two additions
+            t = p + q
+            p, q = t + q, t
         else:  # twice: (p + 2q, p + q), then (3p + 4q, 2p + 3q)
             r = p + q
             q = r + r + q

@@ -4,10 +4,10 @@ Every identity is evaluated in exact integer arithmetic on the recurrence
 route, for each index in range; a division that is not exact is a
 counterexample, not a crash.  Identities read the families only through
 ``SequenceValues`` accessors (``S.B``, ``S.Bss``, ...) over five core
-columns, and each core entry a check reads is compared once per call with
-the closed-form route (powers of ``1 + sqrt(2)``); an entry that differs
-fails the check with a ``"route": "binet"`` counterexample.  Columns live
-for one ``verify``, ``verify_group`` or ``verify_all`` call.
+columns, each compared with the closed-form route (powers of ``1 + sqrt(2)``)
+as it fills; a read from the first entry that differs on fails the check
+with a ``"route": "binet"`` counterexample.  Columns live for one
+``verify``, ``verify_group`` or ``verify_all`` call.
 
 Identity groups and entry counts (the auditable catalog):
 
@@ -50,21 +50,35 @@ from .sequences import (  # noqa: F401
 _ROUTES = {"recurrence": terms, "binet": closed_form_terms}
 
 
+class _RoutesDiffer(Exception):
+    """A read from a column's first differing entry; not a ValueError, which candidates catch."""
+
+
 class _Column(dict):
     """``n -> v(n)`` read from an iterator of ``v(0), v(1), ...``.
 
     A miss fills the column up to ``n``, so the hot path is a plain dict
-    lookup; a negative index is a miss that raises.
+    lookup; a negative index is a miss that raises.  With ``oracle`` set, a
+    fill takes as many entries of it and compares the two lists; the column
+    stores none from the first that differs on, and later misses raise.
     """
 
-    def __init__(self, values):
+    def __init__(self, kind, values):
         super().__init__()
-        self.values = values
+        self.kind, self.values, self.oracle, self.differs = kind, values, None, False
 
     def __missing__(self, n):
         if n < 0:
             raise ValueError("undefined index")
-        self.update(enumerate(islice(self.values, n + 1 - len(self)), len(self)))
+        if self.differs:
+            i = len(self)
+            raise _RoutesDiffer({"n": i, "reason": f"{self.kind.value}({i}) differs between routes",
+                                 "route": "binet"})
+        ours = list(islice(self.values, n + 1 - len(self)))
+        if self.oracle is not None and ours != (theirs := list(islice(self.oracle, len(ours)))):
+            self.differs = True
+            del ours[next(i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b):]
+        self.update(enumerate(ours, len(self)))
         return self[n]
 
 
@@ -76,7 +90,9 @@ class SequenceValues:
     computed: ``"recurrence"`` steps their recurrences, ``"binet"`` reads
     successive powers of ``1 + sqrt(2)``.  Each instance keeps its own core
     columns, grown on demand and freed with the instance; the other families
-    are evaluated from them by their general terms.  ``overrides`` maps
+    are evaluated from them by their general terms.  Only the instance a
+    ``verify*`` call builds checks its columns against the closed-form route
+    as they fill (``_Column.oracle``).  ``overrides`` maps
     ``(kind, index)`` to an additive fault, used by sensitivity tests; a
     fault changes only the faulted family, never the columns.
     """
@@ -89,7 +105,7 @@ class SequenceValues:
         self.overrides = dict(overrides or {})
         # the accessors hold the columns, never the instance, so dropping
         # the instance frees the columns at once
-        self._columns = {k: _Column(source(k)) for k in CORE_KINDS}
+        self._columns = {k: _Column(k, source(k)) for k in CORE_KINDS}
         core = SimpleNamespace(**{k.value: c.__getitem__ for k, c in self._columns.items()})
         for kind in SequenceKind:
             exact = getattr(core, kind.value, None) or partial(_DERIVED[kind], core)
@@ -329,46 +345,31 @@ _CHECK_BY_ID = {check.id: check for check in CATALOG}
 _INTERLOCK_BY_ID = {cand.id: cand for cand in INTERLOCK}
 
 
-def _routes(values):
-    """``(values, None)``, or a recurrence instance and (binet instance, agreed count by kind)."""
-    if values is not None:
-        return values, None
-    return SequenceValues("recurrence"), (SequenceValues("binet"), dict.fromkeys(CORE_KINDS, 0))
+def _checked(values):
+    """``values`` as given, or a recurrence instance whose columns check the closed-form route."""
+    if values is None:
+        values = SequenceValues("recurrence")
+        for kind, column in values._columns.items():
+            column.oracle = closed_form_terms(kind)
+    return values
 
 
-def _route_difference(check: IdentityCheck, n_max: int, S: SequenceValues, cross):
-    """Evaluate ``check`` at ``n_max``, which fills ``S``'s columns as far as the range reads;
-    the counterexample of the first core entry read that differs on the binet route, or None."""
-    top = {}  # core kind -> the indices read, in the order first read
-    core = SimpleNamespace(**{k.value: lambda n, k=k, c=c: top.setdefault(k, []).append(n) or c[n]
-                              for k, c in S._columns.items()})
-    probe = SimpleNamespace(**vars(core), **{  # no cycle: the columns go with the call
-        kind.value: partial(general, core) for kind, general in _DERIVED.items()})
-    with suppress(_Inexact):
-        check.fn(probe, n_max)  # every catalog index grows with n
-    for kind, read in top.items() if cross else ():
-        ours, theirs, agreed, m = S._columns[kind], cross[0]._columns[kind], cross[1], max(read)
-        theirs[m]  # fills the binet column at once
-        i = next((i for i in range(agreed[kind], m + 1) if ours[i] != theirs[i]), m + 1)
-        agreed[kind] = max(agreed[kind], i)
-        if i <= m:
-            return {"n": i, "reason": f"{kind.value}({i}) differs between routes", "route": "binet"}
-    return None
-
-
-def _run_check(check: IdentityCheck, n_max: int, routes) -> VerificationReport:
-    S, cross = routes
+def _run_check(check: IdentityCheck, n_max: int, S: SequenceValues) -> VerificationReport:
     fail = partial(VerificationReport, check.id, check.start, n_max, "fail")
-    if n_max >= check.start and (differ := _route_difference(check, n_max, S, cross)):
-        return fail(differ)
-    for n in range(check.start, n_max + 1):
-        try:
-            lhs, rhs = check.fn(S, n)
-        except _Inexact as exc:
-            return fail({"n": n, "reason": str(exc), "route": S.route})
-        if lhs != rhs:
-            return fail({"n": n, "lhs": _json_value(lhs), "rhs": _json_value(rhs),
-                         "route": S.route})
+    try:
+        if n_max >= check.start:
+            with suppress(_Inexact):
+                check.fn(S, n_max)  # fills each column at once: every catalog index grows with n
+        for n in range(check.start, n_max + 1):
+            try:
+                lhs, rhs = check.fn(S, n)
+            except _Inexact as exc:
+                return fail({"n": n, "reason": str(exc), "route": S.route})
+            if lhs != rhs:
+                return fail({"n": n, "lhs": _json_value(lhs), "rhs": _json_value(rhs),
+                             "route": S.route})
+    except _RoutesDiffer as exc:
+        return fail(exc.args[0])
     return VerificationReport(check.id, check.start, n_max, "pass")
 
 
@@ -377,32 +378,31 @@ def _json_value(v):
 
 
 def _run_candidate(cand: CandidateIdentity, n_max: int, S: SequenceValues) -> VerificationReport:
-    for fn in (cand.lhs, *(fn for _, fn in cand.candidates)):  # fill each column at once
-        with suppress(ValueError):
-            fn(S, n_max)
-    survivors = list(cand.candidates)
-    first_failures = {}
-    for n in range(cand.start, n_max + 1):
-        lhs = cand.lhs(S, n)
-        still = []
-        for label, fn in survivors:
-            try:
-                rhs = fn(S, n)
-            except ValueError:
-                rhs = None
-            if rhs == lhs:
-                still.append((label, fn))
-            elif label not in first_failures:
-                first_failures[label] = {"n": n, "lhs": lhs, "rhs": _json_value(rhs)}
-        survivors = still
-        if not survivors:
-            break
+    survivors, (first, _) = list(cand.candidates), cand.candidates[0]
+    try:
+        for fn in (cand.lhs, *(fn for _, fn in survivors)):  # fill each column at once
+            with suppress(ValueError):
+                fn(S, n_max)
+        for n in range(cand.start, n_max + 1):
+            lhs = cand.lhs(S, n)
+            still = []
+            for label, fn in survivors:
+                try:
+                    rhs = fn(S, n)
+                except ValueError:
+                    rhs = None
+                if rhs == lhs:
+                    still.append((label, fn))
+                elif label == first:  # the report's counterexample when none holds
+                    ce = {"n": n, "lhs": lhs, "rhs": _json_value(rhs), "candidate": label}
+            survivors = still
+            if not survivors:
+                break
+    except _RoutesDiffer as exc:
+        return VerificationReport(cand.id, cand.start, n_max, "fail", exc.args[0])
     if survivors:
         note = "holds as " + ", ".join(label for label, _ in survivors)
         return VerificationReport(cand.id, cand.start, n_max, "pass", note=note)
-    label, fn = cand.candidates[0]
-    ce = dict(first_failures.get(label) or {})
-    ce["candidate"] = label
     return VerificationReport(cand.id, cand.start, n_max, "fail", ce)
 
 
@@ -445,7 +445,7 @@ def verify_solution_sets(equation: str, count: int) -> VerificationReport:
     families enumerate exactly the positive solutions; their sign mirrors
     are implied).  Exact ordered equality is required.
     """
-    return _run_solution_set(equation, count, SequenceValues())
+    return _run_solution_set(equation, count, _checked(None))
 
 
 def _run_solution_set(equation: str, count: int, S: SequenceValues) -> VerificationReport:
@@ -454,25 +454,22 @@ def _run_solution_set(equation: str, count: int, S: SequenceValues) -> Verificat
     if count < 1:
         raise ValueError("arguments positive")
     coeffs, m, families = PELL_EQUATIONS[equation]
-    for fam in families:  # fill each column at once
-        fam(S, count)
+    rid = f"{_EQUATION_GROUP[equation]}.{equation}"
+    try:
+        for fam in families:  # fill each column at once
+            fam(S, count)
+        expected = sorted({fam(S, n) for fam in families for n in range(1, count + 1)})[:count]
+    except _RoutesDiffer as exc:
+        return VerificationReport(rid, 1, count, "fail", exc.args[0])
     form = QuadraticForm(*coeffs)
     got = [sol.pair() for sol in solutions(form, m, count=count, positive=True)]
-    expected = sorted({fam(S, n) for fam in families for n in range(1, count + 1)})
-    expected = expected[:count]
-    rid = f"{_EQUATION_GROUP[equation]}.{equation}"
     if got == expected:
         return VerificationReport(rid, 1, count, "pass")
-    bad = next(
-        (i for i, (g, e) in enumerate(zip(got, expected)) if g != e),
-        min(len(got), len(expected)),
-    )
-    return VerificationReport(
-        rid, 1, count, "fail",
-        {"n": bad + 1,
-         "lhs": _json_value(got[bad]) if bad < len(got) else None,
-         "rhs": _json_value(expected[bad]) if bad < len(expected) else None},
-    )
+    pairs = enumerate(zip(got, expected))
+    bad = next((i for i, (g, e) in pairs if g != e), min(len(got), len(expected)))
+    return VerificationReport(rid, 1, count, "fail", {
+        "n": bad + 1, "lhs": _json_value(got[bad]) if bad < len(got) else None,
+        "rhs": _json_value(expected[bad]) if bad < len(expected) else None})
 
 
 def verify(id: str, n_max: int, values=None) -> VerificationReport:
@@ -481,10 +478,10 @@ def verify(id: str, n_max: int, values=None) -> VerificationReport:
         raise ValueError("arguments positive")
     check = _CHECK_BY_ID.get(id)
     if check is not None:
-        return _run_check(check, n_max, _routes(values))
+        return _run_check(check, n_max, _checked(values))
     cand = _INTERLOCK_BY_ID.get(id)
     if cand is not None:
-        return _run_candidate(cand, n_max, values or SequenceValues())
+        return _run_candidate(cand, n_max, _checked(values))
     raise ValueError("no such identity")
 
 
@@ -492,35 +489,35 @@ def verify_group(group: str, n_max: int, pell_count: int = 10, values=None):
     """All reports for one identity group, in catalog order."""
     if n_max < 1 or pell_count < 1:
         raise ValueError("arguments positive")
-    return _group_reports(group, n_max, pell_count, _routes(values))
+    return _group_reports(group, n_max, pell_count, _checked(values))
 
 
-def _group_reports(group: str, n_max: int, pell_count: int, routes):
-    # solution sets and interlock candidates read the first route only
+def _group_reports(group: str, n_max: int, pell_count: int, S: SequenceValues):
     if group in ("teo1", "teo3"):
         return [
-            _run_solution_set(eq, pell_count, routes[0])
+            _run_solution_set(eq, pell_count, S)
             for eq, grp in _EQUATION_GROUP.items() if grp == group
         ]
     if group == "interlock":
-        return [_run_candidate(c, n_max, routes[0]) for c in INTERLOCK]
+        return [_run_candidate(c, n_max, S) for c in INTERLOCK]
     checks = [c for c in CATALOG if c.group == group]
     if not checks:
         raise ValueError("no such identity")
-    return [_run_check(c, n_max, routes) for c in checks]
+    return [_run_check(c, n_max, S) for c in checks]
 
 
 def verify_all(n_max: int, pell_count: int, values=None):
     """Every cataloged identity plus the four solution-set checks.
 
-    Each route's columns are built once and shared by every group.
+    One instance's columns are built once, checked as they fill, and
+    shared by every group.
     """
     if n_max < 1 or pell_count < 1:
         raise ValueError("arguments positive")
-    routes = _routes(values)
+    S = _checked(values)
     reports = []
     for group in GROUPS:
-        reports.extend(_group_reports(group, n_max, pell_count, routes))
+        reports.extend(_group_reports(group, n_max, pell_count, S))
     return reports
 
 

@@ -73,6 +73,28 @@ def test_matrix_power_identity():
     assert m32.power(0).rows() == ((1, 0), (0, 1))
 
 
+def test_matrix_power_matches_repeated_products():
+    # seeded unimodular matrices of every trace from -3 to 3: hyperbolic,
+    # parabolic (trace +-2) and of finite order (trace -1, 0, 1)
+    rng = random.Random(14)
+    for trace in range(-3, 4):
+        for _ in range(4):
+            a = rng.randrange(-20, 21)
+            bc = a * (trace - a) - 1  # det = a*(trace - a) - b*c = 1
+            if bc:
+                divisors = [e for e in range(1, abs(bc) + 1) if bc % e == 0]
+                b = rng.choice(divisors) * rng.choice((1, -1))
+                c = bc // b
+            else:
+                b, c = rng.randrange(-20, 21), 0
+            matrix = OrbitMatrix(a, b, c, trace - a)
+            for base, sign in ((matrix, 1), (matrix.inverse(), -1)):
+                product = OrbitMatrix(1, 0, 0, 1)
+                for n in range(41):
+                    assert matrix.power(sign * n) == product, (matrix, sign * n)
+                    product = product * base
+
+
 def test_rep_bound_anchors():
     # exact bounds are 3*sqrt(2), sqrt(7), sqrt(14), 3; the returned value
     # only errs upward and its floor must admit the anchor representatives

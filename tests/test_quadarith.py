@@ -329,6 +329,28 @@ def test_unit_powers_match_repeated_product(x):
         product = product * x
 
 
+def test_norm_minus_one_units_take_the_two_squaring_path():
+    # a unit of either norm reads p^2 from d*q^2, so 1 + sqrt(2) (norm -1)
+    # must multiply by d as often as 3 + 2*sqrt(2) (norm +1) does
+    products = []
+
+    class Radicand(int):
+        def __mul__(self, other):
+            products.append(other)
+            return int(self) * other
+
+        __rmul__ = __mul__
+
+    d = Radicand(2)
+    for n in (1, 2, 7, 64, 1000, 4097):
+        counts = []
+        for p, q in ((1, 1), (3, 2)):
+            products.clear()
+            assert quad_pow(QuadInt(p, q, d), n) == quad_pow(QuadInt(p, q, 2), n), (p, q, n)
+            counts.append(len(products))
+        assert counts[0] == counts[1], (n, counts)
+
+
 @pytest.mark.parametrize("d", [5, 13, 21])
 def test_half_ring_operations_keep_parity_and_values(d):
     # every result equals the checked constructor applied to its formula

@@ -185,7 +185,8 @@ def test_verify_all_builds_each_route_once(monkeypatch):
 
     monkeypatch.setattr(verifier, "SequenceValues", Counted)
     assert all(r.passed for r in verify_all(20, 5))
-    assert built == ["recurrence", "binet"]
+    # the closed-form route is a stream per column, never a second instance
+    assert built == ["recurrence"]
 
 
 @pytest.mark.parametrize("index", [0, 1, 9])
@@ -279,6 +280,16 @@ def test_faulty_closed_form_fails_on_binet_route(faulty_binet_B):
         "n": 5, "reason": "B(5) differs between routes", "route": "binet"}
 
 
+def test_route_difference_fails_solution_sets_and_candidates(faulty_binet_B):
+    # both read the checked columns; a candidate does not read the difference
+    # as a failed pairing
+    differs = {"n": 5, "reason": "B(5) differs between routes", "route": "binet"}
+    reports = verify_group("teo1", 20, 5)
+    assert [r.counterexample for r in reports] == [differs, differs]
+    report = verify("interlock.Bstar", 20)
+    assert report.status == "fail" and report.counterexample == differs
+
+
 def test_faulty_recurrence_row_fails_on_binet_route(monkeypatch):
     (v0, v1), s1, s2, add = sequences._RECURRENCES[K.P]
     monkeypatch.setitem(sequences._RECURRENCES, K.P, ((v0, v1), s1, s2, add + 1))
@@ -324,8 +335,22 @@ LARGEST_READS = {
 }
 
 
+@pytest.fixture
+def closed_form_reads(monkeypatch):
+    """Core kind -> the entries the verifier takes of its closed-form stream."""
+    reads = dict.fromkeys(sequences.CORE_KINDS, 0)
+
+    def counted(kind):
+        for value in sequences.closed_form_terms(kind):
+            reads[kind] += 1
+            yield value
+
+    monkeypatch.setattr(verifier, "closed_form_terms", counted)
+    return reads
+
+
 @pytest.mark.parametrize("id", sorted(LARGEST_READS))
-def test_each_identity_is_evaluated_once(monkeypatch, built, id):
+def test_each_identity_is_evaluated_once(monkeypatch, built, closed_form_reads, id):
     check = verifier._CHECK_BY_ID[id]
     calls = []
 
@@ -336,10 +361,18 @@ def test_each_identity_is_evaluated_once(monkeypatch, built, id):
     monkeypatch.setitem(verifier._CHECK_BY_ID, id, check._replace(fn=counted_fn))
     assert verify(id, 200).passed
     assert 200 - check.start + 1 <= len(calls) <= 200 - check.start + 2
-    assert [S.route for S in built] == ["recurrence", "binet"]
+    assert [S.route for S in built] == ["recurrence"]
     expected = {kind: LARGEST_READS[id].get(kind, -1) + 1 for kind in sequences.CORE_KINDS}
-    for S in built:
-        assert {kind: len(column) for kind, column in S._columns.items()} == expected, S.route
+    assert {kind: len(column) for kind, column in built[0]._columns.items()} == expected
+    # each column is compared entry by entry as it fills, and no further
+    assert closed_form_reads == expected
+
+
+def test_verify_all_reads_each_closed_form_as_far_as_its_column(built, closed_form_reads):
+    assert all(r.passed for r in verify_all(300, 20))
+    [S] = built
+    assert closed_form_reads == {kind: len(column) for kind, column in S._columns.items()}
+    assert all(closed_form_reads.values())
 
 
 def test_verify_frees_its_columns(built):
@@ -349,7 +382,7 @@ def test_verify_frees_its_columns(built):
         assert verify("teo2.Bstarstar", 50).passed
         refs = [weakref.ref(column) for S in built for column in S._columns.values()]
         built.clear()
-        assert len(refs) == 10 and all(ref() is None for ref in refs)
+        assert len(refs) == 5 and all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
