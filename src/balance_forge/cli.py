@@ -65,8 +65,6 @@ def _cmd_solve(args) -> int:
         form = QuadraticForm(args.a, args.b, args.c)
     except ValueError:
         return _fail("degenerate form")
-    if args.m == 0:
-        return _fail("degenerate right-hand side")
     try:
         sols = solutions(
             form, args.m,

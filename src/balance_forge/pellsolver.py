@@ -391,8 +391,8 @@ def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
     Found rows are grouped by their orbit's least row (``_dip``), keeping the
     lexicographically smallest of each; each re-verifies ``F(x, y) = m``.
     A sign-flipped orbit is another orbit: {[3, 3], [-3, 3]} stay two
-    representatives though their signed sweeps coincide (the emission
-    stream deduplicates pairs anyway).
+    representatives though their signed sweeps coincide (``solutions``
+    sweeps such an orbit once).
     """
     if m == 0:
         raise ValueError("degenerate right-hand side")
@@ -417,10 +417,6 @@ def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
     return list(kept.values())
 
 
-def _sort_key(sol: Solution):
-    return (abs(sol.x), sol.x, sol.y)
-
-
 def _walk(row, matrix, rep_index, sign, exponent, step):
     while True:
         yield Solution(row[0], row[1], rep_index, exponent, sign)
@@ -436,12 +432,14 @@ def solutions(
     xbound: int | None = None,
     positive: bool = False,
 ) -> list[Solution]:
-    """Solutions of ``F(x, y) = m`` ordered by ``(|x|, x, y)``, deduplicated.
+    """Solutions of ``F(x, y) = m`` ordered by ``(|x|, x, y)``, each once.
 
     Exactly one of ``count`` (number of emitted solutions) or ``xbound``
     (emit everything with ``|x| <= xbound``) bounds the stream; both may be
     given.  ``positive`` restricts emission to ``x > 0, y > 0``, a finite set
     when ``a``, ``b``, ``c`` share a sign: ``count`` may then emit fewer.
+    Each orbit is swept once, both ways from its least row (``_dip``); one
+    reached from two starts keeps the first (rep, sign), +1 before -1.
     """
     if m == 0:
         raise ValueError("degenerate right-hand side")
@@ -456,21 +454,17 @@ def solutions(
         return []
     matrix = orbit_matrix(form)
     inverse = matrix.inverse()
-    walkers = []
+    walkers = {}  # least row -> (forward walker, backward walker)
     for index, rep in enumerate(reps):
         for sign in (1, -1):
             row, k = _dip((sign * rep[0], sign * rep[1]), matrix, inverse)
-            walkers.append(_walk(row, matrix, index, sign, k, 1))
-            walkers.append(_walk(inverse.apply(row), inverse, index, sign, k - 1, -1))
-    merged = heapq.merge(*walkers, key=_sort_key)
+            if row not in walkers:
+                walkers[row] = (_walk(row, matrix, index, sign, k, 1),
+                                _walk(inverse.apply(row), inverse, index, sign, k - 1, -1))
     out: list[Solution] = []
-    seen: set[tuple[int, int]] = set()
-    for sol in merged:
+    for sol in heapq.merge(*(w for pair in walkers.values() for w in pair), key=_key):
         if xbound is not None and abs(sol.x) > xbound:
             break
-        if sol.pair() in seen:
-            continue
-        seen.add(sol.pair())
         if form.evaluate(sol.x, sol.y) != m:
             raise AssertionError("orbit sweep produced a non-solution")
         if positive and not (sol.x > 0 and sol.y > 0):

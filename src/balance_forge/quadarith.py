@@ -276,8 +276,7 @@ def sqrt_continued_fraction(d: int) -> ContinuedFraction:
 
 
 def _validate_discriminant(delta: int) -> None:
-    if delta <= 0 or _is_square(delta):
-        raise ValueError("degenerate discriminant")
+    _validate_radicand(delta)
     if delta % 4 in (2, 3):
         raise ValueError("not a discriminant")
 

@@ -159,8 +159,9 @@ def test_solve_degenerate_form(capsys):
 
 
 def test_solve_zero_rhs(capsys):
-    code, _, err = run(capsys, "solve", "8", "0", "-1", "0", "--count", "1")
+    code, out, err = run(capsys, "solve", "8", "0", "-1", "0", "--count", "1")
     assert code == 2
+    assert (out, err) == ("", "degenerate right-hand side\n")
 
 
 def test_solve_empty_is_success(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from balance_forge import pellsolver
 from balance_forge.pellsolver import (
     OrbitMatrix,
     QuadraticForm,
@@ -305,6 +306,24 @@ def test_pair_of_two_orbits_keeps_the_first_orbit():
     assert representatives(form, 196) == [(-9, 1), (-7, 7), (11, 1), (21, 7)]
     eighth = solutions(form, 196, count=8, positive=True)[-1]
     assert eighth == Solution(693, 287, 1, 3, -1)
+
+
+@pytest.mark.parametrize("abc,m,limits,walks", [
+    ((2, -4, -2), 196, dict(count=8, positive=True), 12),  # 8 starts, 6 orbits
+    ((1, -6, -2), 1, dict(count=6), 4),  # 4 starts, 2 orbits
+    ((4, -2, -10), 16, dict(xbound=5000), 16),  # 10 starts, 8 orbits
+    ((8, 0, -1), -9, dict(count=5), 4),  # 2 starts, 2 orbits
+])
+def test_each_orbit_is_swept_once(monkeypatch, abc, m, limits, walks):
+    # two walkers, forward and backward from the least row, per orbit, however
+    # many signed representatives reach it; the stream repeats no pair
+    calls = []
+    walk = pellsolver._walk
+    monkeypatch.setattr(pellsolver, "_walk", lambda *args: calls.append(args) or walk(*args))
+    got = solutions(QuadraticForm(*abc), m, **limits)
+    assert len(calls) == walks
+    assert len({row for row, *_, step in calls if step == 1}) == walks // 2
+    assert len({s.pair() for s in got}) == len(got)
 
 
 def test_solutions_limit_validation():
