@@ -93,24 +93,21 @@ class Solution(record("Solution", "x y rep exponent sign")):
 RepresentativeSet = list[tuple[int, int]]
 
 
-def _unit_trace(delta: int) -> tuple[int, int]:
-    """``(X, Y)`` with ``tau(delta) = (X + Y*sqrt(delta))/2``; ``X`` is its trace."""
-    u, v = tau_rho_coords(delta)
-    return 2 * u + v * (delta & 1), v
-
-
 def orbit_matrix(form: QuadraticForm) -> OrbitMatrix:
     """The matrix of the norm-one fundamental unit acting on solution rows.
 
-    It is the automorph ``((X - b*Y)/2, a*Y; -c*Y, (X + b*Y)/2)`` of the
-    form; ``X`` and ``b*Y`` have the same parity, so every entry is integral.
+    With ``tau = u + v*rho`` (``tau_rho_coords``) and ``h = b // 2`` it is
+    ``(u - h*v, a*v; -c*v, u + (b - h)*v)``.  As ``b`` has the parity of
+    ``delta``, this is the automorph ``((X - b*Y)/2, a*Y; -c*Y, (X + b*Y)/2)``
+    of the form for ``tau = (X + Y*sqrt(delta))/2``; its trace is ``X``.
     """
-    X, Y = _unit_trace(form.delta)
+    u, v = tau_rho_coords(form.delta)
     a, b, c = form.a, form.b, form.c
-    return OrbitMatrix((X - b * Y) // 2, a * Y, -c * Y, (X + b * Y) // 2)
+    h = b // 2
+    return OrbitMatrix(u - h * v, a * v, -c * v, u + (b - h) * v)
 
 
-def rep_bound(form: QuadraticForm, m: int) -> Fraction:
+def rep_bound(form: QuadraticForm, m: int):
     """Upper bound on the representative bound ``U`` on ``y``, within 2^-64.
 
     Every orbit contains a row with ``0 <= y <= U`` where
@@ -119,26 +116,25 @@ def rep_bound(form: QuadraticForm, m: int) -> Fraction:
     ``t + 1/t`` of the norm-one fundamental unit ``t``.  ``U^2`` is exact;
     its square root is rounded up to a multiple of 2^-64, so the bound can
     only err upward: extra ``y`` candidates cost a redundant scan step,
-    never a lost orbit.
+    never a lost orbit.  Returns a ``fractions.Fraction``.
     """
     from fractions import Fraction  # the solver itself reads only the numerator
-    return Fraction(_bound_numerator(form, m), 1 << 64)
+    matrix = orbit_matrix(form)
+    return Fraction(_bound_numerator(form, m, matrix.m11 + matrix.m22), 1 << 64)
 
 
-def _bound_numerator(form: QuadraticForm, m: int) -> int:
-    """``rep_bound(form, m)`` times 2^64, an integer."""
+def _bound_numerator(form: QuadraticForm, m: int, trace: int) -> int:
+    """``rep_bound(form, m)`` times 2^64, an integer, from the unit's ``trace``."""
     am = form.a * m
     if am == 0:
         raise ValueError("degenerate right-hand side")
-    delta = form.delta
-    X, _ = _unit_trace(delta)
-    num = abs(am) * (X - 2 if am > 0 else X + 2)
-    return isqrt((num << 128) // delta) + 1
+    num = abs(am) * (trace - 2 if am > 0 else trace + 2)
+    return isqrt((num << 128) // form.delta) + 1
 
 
-def _search_ceiling(form: QuadraticForm, m: int) -> int:
+def _search_ceiling(form: QuadraticForm, m: int, trace: int) -> int:
     # floor of the over-approximation, plus one step of slack
-    return (_bound_numerator(form, m) >> 64) + 1
+    return (_bound_numerator(form, m, trace) >> 64) + 1
 
 
 def _key(row):
@@ -394,11 +390,11 @@ def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
     representatives though their signed sweeps coincide (``solutions``
     sweeps such an orbit once).
     """
-    if m == 0:
-        raise ValueError("degenerate right-hand side")
+    matrix = orbit_matrix(form)
     delta, a, b = form.delta, form.a, form.b
     found = set()
-    for y0 in _square_radicand_hits(delta, 4 * a * m, _search_ceiling(form, m)):
+    ceiling = _search_ceiling(form, m, matrix.m11 + matrix.m22)
+    for y0 in _square_radicand_hits(delta, 4 * a * m, ceiling):
         ok, root = is_perfect_square(delta * y0 * y0 + 4 * a * m)
         if not ok:
             raise AssertionError("scan produced a non-square radicand")
@@ -409,7 +405,6 @@ def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
                 if form.evaluate(x0, y0) != m:
                     raise AssertionError("representative failed re-verification")
                 found.add((x0, y0))
-    matrix = orbit_matrix(form)
     inverse = matrix.inverse()
     kept: dict[tuple[int, int], tuple[int, int]] = {}
     for rep in sorted(found):

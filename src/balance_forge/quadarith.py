@@ -129,13 +129,8 @@ class QuadInt(record("QuadInt", "p q d")):
         if isinstance(other, int):
             return tuple.__new__(QuadInt, (self.p * other, self.q * other, self.d))
         self._check_ring(other)
-        if other is self:
-            # a square takes three multiplications, two of them squarings
-            pp = self.p * self.p + self.d * (self.q * self.q)
-            qq = 2 * (self.p * self.q)
-        else:
-            pp = self.p * other.p + self.d * self.q * other.q
-            qq = self.p * other.q + self.q * other.p
+        pp = self.p * other.p + self.d * self.q * other.q
+        qq = self.p * other.q + self.q * other.p
         if self.half:
             # parity of the inputs guarantees both halves are exact
             pp, qq = pp // 2, qq // 2

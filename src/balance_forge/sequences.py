@@ -56,7 +56,7 @@ from math import prod
 from types import SimpleNamespace
 
 from .quadarith import SQUARE_RESIDUE_MODULUS, QuadInt, is_perfect_square, quad_pow, square_residue
-from .quadarith import lucas_chain as _chain  # a module global: tests count calls through it
+from .quadarith import lucas_chain
 
 
 class SequenceKind(Enum):
@@ -112,7 +112,7 @@ def _stepped(kind: SequenceKind, n: int, chains: dict):
     (v0, v1), s1, s2, add = _RECURRENCES[kind]
     k = 1 - s1 - s2 if add else 1
     z0, z1 = k * v0 - add, k * v1 - add
-    u, u1 = chains.get((s1, s2, n)) or chains.setdefault((s1, s2, n), _chain(s1, s2, n))
+    u, u1 = chains.get((s1, s2, n)) or chains.setdefault((s1, s2, n), lucas_chain(s1, s2, n))
     a, b = ((z1 - s1 * z0) * u + z0 * u1 + add) // k, (z1 * u1 + s2 * z0 * u + add) // k
     if s2 == -1 and not add:  # B, C and c
         while True:

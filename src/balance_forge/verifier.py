@@ -474,15 +474,14 @@ def _run_solution_set(equation: str, count: int, S: SequenceValues) -> Verificat
 
 def verify(id: str, n_max: int, values=None) -> VerificationReport:
     """Run one cataloged identity over ``start .. n_max``."""
+    check, cand = _CHECK_BY_ID.get(id), _INTERLOCK_BY_ID.get(id)
+    if check is None and cand is None:
+        raise ValueError("no such identity")
     if n_max < 1:
         raise ValueError("arguments positive")
-    check = _CHECK_BY_ID.get(id)
     if check is not None:
         return _run_check(check, n_max, _checked(values))
-    cand = _INTERLOCK_BY_ID.get(id)
-    if cand is not None:
-        return _run_candidate(cand, n_max, _checked(values))
-    raise ValueError("no such identity")
+    return _run_candidate(cand, n_max, _checked(values))
 
 
 def verify_group(group: str, n_max: int, pell_count: int = 10, values=None):
@@ -519,11 +518,3 @@ def verify_all(n_max: int, pell_count: int, values=None):
     for group in GROUPS:
         reports.extend(_group_reports(group, n_max, pell_count, S))
     return reports
-
-
-def known_ids():
-    """Every acceptable identity id (groups and single identities)."""
-    ids = ["all", *GROUPS]
-    ids.extend(check.id for check in CATALOG)
-    ids.extend(cand.id for cand in INTERLOCK)
-    return ids

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import balance_forge
-from balance_forge import cli, pellsolver
+from balance_forge import cli, pellsolver, quadarith, sequences, verifier
 from balance_forge.cli import main
 from balance_forge.sequences import SequenceKind, term
 
@@ -132,6 +134,25 @@ def test_import_leaves_heavy_standard_modules_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_public_annotations_resolve():
+    # a documentation or type tool resolves the hints of every public function
+    # and method; rep_bound names Fraction only in its docstring, as fractions
+    # stays off the import path
+    import typing
+    checked = []
+    for module in (quadarith, sequences, pellsolver, verifier, cli):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if isinstance(obj, type) else [(name, obj)]
+            for key, member in members:
+                member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                if callable(member) and (not key.startswith("_") or key.endswith("__")):
+                    typing.get_type_hints(member)
+                    checked.append(member.__qualname__)
+    assert {"rep_bound", "QuadInt.__mul__", "OrbitMatrix.power", "QuadInt.half"} <= set(checked)
+
+
 def test_solve_unfactorable_right_hand_side_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(pellsolver, "_factor", lambda n: None)
     code, out, err = run(capsys, *SOLVE_277)
@@ -231,6 +252,10 @@ def test_verify_unknown_id(capsys):
     code, _, err = run(capsys, "verify", "nosuch", "--upto", "5")
     assert code == 2
     assert "no such identity" in err
+    # the id is looked up before the range is checked
+    for id in ("nosuch", "teo99"):
+        code, _, err = run(capsys, "verify", id, "--upto", "0")
+        assert (code, err) == (2, "no such identity\n"), id
 
 
 def test_verify_bad_range(capsys):
@@ -297,3 +322,19 @@ def test_help_and_usage_errors_survive_parser_reuse(capsys, command):
     assert usage_error[:2] == (2, "")
     assert usage_error[2].startswith("usage: balance-forge " + command) and "error:" in usage_error[2]
     assert printed(lambda: main([command, "--help"])) == fresh
+
+
+# each CI smoke line `out=$(... python -m balance_forge ARGS | sha256sum)` and its pin
+_CI_PIN = re.compile(r'out=\$\(PYTHONPATH=src python -m balance_forge ([^|]*?) \| sha256sum\)\n'
+                     r'\s*test "\$out" = "([0-9a-f]{64})  -"')
+
+
+def test_ci_smoke_pins_hold_in_process(capsys, monkeypatch):
+    # the workflow file stays the one record of these digests
+    monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    pins = _CI_PIN.findall(workflow.read_text())
+    assert len(pins) == 15
+    for args, digest in pins:
+        code, out, _ = run(capsys, *args.split())
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, args

@@ -20,13 +20,18 @@ from balance_forge.pellsolver import (
     representatives,
     solutions,
 )
-from balance_forge.quadarith import QuadInt, is_perfect_square, tau
+from balance_forge.quadarith import QuadInt, is_perfect_square, quadint_delta_pair, tau
 from balance_forge.sequences import SequenceKind, term
 
 F32 = QuadraticForm(8, 0, -1)
 F8 = QuadraticForm(2, 0, -1)
 
 ANCHOR_CASES = [(F32, -9), (F32, 7), (F8, -7), (F8, 9)]
+
+
+def _ceiling(form, m):
+    """The solver's search ceiling, with the unit's trace read from ``tau``."""
+    return _search_ceiling(form, m, quadint_delta_pair(tau(form.delta), form.delta)[0])
 
 
 @pytest.mark.parametrize("a,b,c", [(1, 0, -1), (1, 0, -4), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
@@ -138,7 +143,7 @@ def _full_walk_merge(form, m):
     matrix steps either way, wherever the walk goes."""
     delta, a, b = form.delta, form.a, form.b
     found = set()
-    for y0 in _square_radicand_hits(delta, 4 * a * m, _search_ceiling(form, m)):
+    for y0 in _square_radicand_hits(delta, 4 * a * m, _ceiling(form, m)):
         root = math.isqrt(delta * y0 * y0 + 4 * a * m)
         for s in {root, -root}:
             if (s - b * y0) % (2 * a) == 0:
@@ -169,7 +174,7 @@ def test_window_merge_equals_full_walk_merge():
             m = form.evaluate(rng.randint(-40, 40), rng.randint(0, 40))
         else:
             m = rng.choice((-1, 1)) * rng.randint(1, 2000)
-        if m == 0 or _search_ceiling(form, m) > 10**7:
+        if m == 0 or _ceiling(form, m) > 10**7:
             continue
         assert representatives(form, m) == _full_walk_merge(form, m), (form, m)
         kinds.add((form.a < 0, form.b % 2, form.a * m > 0))
@@ -278,9 +283,9 @@ def test_stream_is_the_first_keys_of_brute_force():
             m = form.evaluate(rng.randint(-30, 30), rng.randint(0, 30))
         else:
             m = rng.choice((-1, 1)) * rng.randint(1, 500)
-        if m == 0 or _search_ceiling(form, m) > 10**6:
+        if m == 0 or _ceiling(form, m) > 10**6:
             continue
-        assert _search_ceiling(form, m) == int(rep_bound(form, m)) + 1, (form, m)
+        assert _ceiling(form, m) == int(rep_bound(form, m)) + 1, (form, m)
         count = rng.randint(1, 10)
         got = solutions(form, m, count=count)
         bound = max((abs(s.x) for s in got), default=200)
@@ -324,6 +329,26 @@ def test_each_orbit_is_swept_once(monkeypatch, abc, m, limits, walks):
     assert len(calls) == walks
     assert len({row for row, *_, step in calls if step == 1}) == walks // 2
     assert len({s.pair() for s in got}) == len(got)
+
+
+@pytest.mark.parametrize("abc,m,limits", [
+    ((8, 0, -1), -9, dict(count=3)),
+    ((2, -4, -2), 196, dict(count=8)),
+    ((1, 1, -1), 11, dict(xbound=500)),
+])
+def test_orbit_matrix_is_the_one_reader_of_the_unit(monkeypatch, abc, m, limits):
+    # representatives reads its search ceiling from the matrix's trace, so it
+    # reads the unit once; solutions builds one more matrix for the sweep
+    calls = []
+    unit = pellsolver.tau_rho_coords
+    monkeypatch.setattr(pellsolver, "tau_rho_coords", lambda d: calls.append(d) or unit(d))
+    form = QuadraticForm(*abc)
+    representatives(form, m)
+    assert len(calls) == 1
+    solutions(form, m, **limits)
+    assert len(calls) == 3
+    with pytest.raises(ValueError, match="degenerate right-hand side"):
+        representatives(form, 0)
 
 
 def test_solutions_limit_validation():
@@ -404,6 +429,11 @@ def test_orbit_matrix_is_an_automorph_below_2000():
         for form in _forms_of(delta):
             matrix = orbit_matrix(form)
             assert matrix.det() == 1, form
+            # the rho-coordinate entries are the automorph written over (X, Y)
+            X, Y = quadint_delta_pair(tau(delta), delta)
+            a, b, c = form
+            assert matrix == OrbitMatrix((X - b * Y) // 2, a * Y, -c * Y, (X + b * Y) // 2), form
+            assert matrix.m11 + matrix.m22 == X, form
             for _ in range(3):
                 row = (rng.randint(-99, 99), rng.randint(-99, 99))
                 assert form.evaluate(*matrix.apply(row)) == form.evaluate(*row), form
@@ -479,7 +509,7 @@ NEAR_2_62_HITS = {
 def test_lattice_search_matches_sieve_for_right_hand_side_near_2_62(d, m):
     # x^2 - d*y^2 = m: the window holds about 2*10^9 values of y
     form = QuadraticForm(1, 0, -d)
-    delta, shift, ceiling = form.delta, 4 * m, _search_ceiling(form, m)
+    delta, shift, ceiling = form.delta, 4 * m, _ceiling(form, m)
     assert ceiling > 2 * 10**9
     assert list(_square_radicand_hits(delta, shift, ceiling)) == NEAR_2_62_HITS[d]
 
@@ -610,7 +640,7 @@ def test_search_ceiling_is_the_floor_of_rep_bound_plus_one():
     # the solver's integer ceiling and the public Fraction bound agree
     for D, N in _diop_dn_cases():
         form = QuadraticForm(1, 0, -D)
-        assert _search_ceiling(form, N) == int(rep_bound(form, N)) + 1, (D, N)
+        assert _ceiling(form, N) == int(rep_bound(form, N)) + 1, (D, N)
 
 
 def test_solvability_and_fundamental_solutions_match_diop_dn():
@@ -618,7 +648,7 @@ def test_solvability_and_fundamental_solutions_match_diop_dn():
     for D, N in _diop_dn_cases():
         form = QuadraticForm(1, 0, -D)
         fundamental = sympy_diophantine.diop_DN(D, N)
-        if _search_ceiling(form, N) > 10**12:  # refused: the search window is too wide
+        if _ceiling(form, N) > 10**12:  # refused: the search window is too wide
             with pytest.raises(ValueError, match="ceiling exceeds 10\\^12"):
                 solutions(form, N, count=1)
             continue

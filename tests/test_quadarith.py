@@ -129,6 +129,11 @@ def test_quad_examples():
 def test_ring_mismatch():
     with pytest.raises(ValueError, match="ring mismatch"):
         quad_mul(QuadInt(1, 1, 2), QuadInt(1, 1, 3))
+    # the element's ring is the discriminant's: sqrt(delta) for odd delta, else sqrt(delta/4)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        quadint_delta_pair(QuadInt(1, 1, 5), 13)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        quadint_delta_pair(QuadInt(1, 1, 2), 12)
 
 
 def test_invalid_radicand():
@@ -153,6 +158,8 @@ def test_half_ring_arithmetic():
     assert (golden * golden).norm() == 1
     assert QuadInt.one(5) == QuadInt(2, 0, 5)
     assert quad_pow(golden, 0) == QuadInt(2, 0, 5)
+    assert golden ** 3 == quad_pow(golden, 3) == QuadInt(4, 2, 5)
+    assert (str(golden), str(QuadInt(1, -2, 2))) == ("(1+1*sqrt(5))/2", "1-2*sqrt(2)")
 
 
 @given(

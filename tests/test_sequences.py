@@ -136,6 +136,8 @@ def test_terms_steps_from_any_start(kind, start):
 def test_terms_negative_start():
     with pytest.raises(ValueError, match="undefined index"):
         terms(K.cstar, -1)
+    with pytest.raises(ValueError, match="unknown kind 'B'"):
+        terms("B")  # a name, not a kind
 
 
 @pytest.mark.parametrize("n", [10**4, 20002])
@@ -210,6 +212,8 @@ def test_binet_examples():
 def test_binet_no_closed_form():
     with pytest.raises(ValueError, match="no closed form"):
         term_binet(K.Bstar, 1)
+    with pytest.raises(ValueError, match="no closed form"):
+        next(closed_form_terms(K.Bstar))
 
 
 def test_cli_name_vocabulary():
@@ -428,8 +432,8 @@ def square_roots(monkeypatch):
 @pytest.fixture
 def chains(monkeypatch):
     """The recurrences ``(s1, s2)`` that ``sequences`` runs a Lucas chain for."""
-    calls, real = [], sequences._chain
-    monkeypatch.setattr(sequences, "_chain",
+    calls, real = [], sequences.lucas_chain
+    monkeypatch.setattr(sequences, "lucas_chain",
                         lambda s1, s2, n: calls.append((s1, s2)) or real(s1, s2, n))
     return calls
 
@@ -544,10 +548,10 @@ def test_chain_matches_the_companion_matrix_power(s1, s2):
     # ((s1, s2), (1, 0))**n = ((U(n+1), s2 U(n)), (U(n), s2 U(n-1)))
     step, power = ((s1, s2), (1, 0)), ((1, 0), (0, 1))
     for n in range(3001):
-        assert sequences._chain(s1, s2, n) == (power[1][0], power[0][0]), n
+        assert sequences.lucas_chain(s1, s2, n) == (power[1][0], power[0][0]), n
         power = _matrix_mul(power, step)
     if (s1, s2) in ((6, -1), (2, 1)):
         rng = random.Random(13)
         for n in [rng.randrange(3001, 200_001) for _ in range(50)]:
             power = _matrix_power(step, n)
-            assert sequences._chain(s1, s2, n) == (power[1][0], power[0][0]), n
+            assert sequences.lucas_chain(s1, s2, n) == (power[1][0], power[0][0]), n

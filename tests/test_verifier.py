@@ -58,6 +58,11 @@ def test_unknown_identity():
         verify("nosuch", 5)
     with pytest.raises(ValueError, match="no such identity"):
         verify_group("teo99", 5)
+    with pytest.raises(ValueError, match="no such identity"):
+        verify_solution_sets("8x^2-y^2=9", 5)
+    # the id is looked up before the range is checked
+    with pytest.raises(ValueError, match="no such identity"):
+        verify("nosuch", 0)
 
 
 def test_verify_argument_validation():
@@ -67,6 +72,10 @@ def test_verify_argument_validation():
         verify_all(10, 0)
     with pytest.raises(ValueError, match="arguments positive"):
         verify("teo2.Bstar", 0)
+    with pytest.raises(ValueError, match="arguments positive"):
+        verify_group("teo2", 0)
+    with pytest.raises(ValueError, match="arguments positive"):
+        verify_solution_sets("8x^2-y^2=-9", 0)
 
 
 def test_verify_all_minimal_range():
