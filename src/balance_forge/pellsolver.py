@@ -12,10 +12,12 @@ merging the sweeps into one stream ordered by ``(|x|, x, y)``.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from itertools import compress, cycle
 
-from .quadarith import is_perfect_square, isqrt, lucas_chain, record, tau_rho_coords
+from .quadarith import _SQUARES_64, is_perfect_square, isqrt, lucas_chain, record, tau_rho_coords
 
 
 class QuadraticForm(record("QuadraticForm", "a b c")):
@@ -165,6 +167,8 @@ _CEILING_LIMIT = 10**12
 _RHO_STEPS = 1 << 20
 # Miller-Rabin on these bases is exact below 3.3 * 10^24
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# 1023!, whose prime factors are the primes below 2^10; built on first use
+_small_factorial = functools.cache(functools.partial(math.factorial, (1 << 10) - 1))
 
 
 def _is_prime(n: int) -> bool:
@@ -224,14 +228,20 @@ def _rho_factor(n: int) -> int | None:
 def _factor(n: int) -> dict[int, int] | None:
     """``{prime: exponent}`` of ``n > 0``, or None if Pollard-Brent gives up.
 
-    A factor above 3.3 * 10^24 that passes Miller-Rabin on ``_WITNESSES`` is
-    taken for a prime.
+    Trial division tries only the primes below 2^10 that divide ``n``, read
+    from ``gcd(n, 1023!)``.  A factor above 3.3 * 10^24 that passes
+    Miller-Rabin on ``_WITNESSES`` is taken for a prime.
     """
     out: dict[int, int] = {}
-    for p in range(2, 1 << 10):  # a composite p never divides what is left
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    g = math.gcd(n, _small_factorial())
+    for p in range(2, 1 << 10):
+        if g == 1:
+            break
+        if g % p == 0:  # p is prime: the primes below it are gone from g
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            g = math.gcd(g, n)
     stack = [n] if n > 1 else []
     while stack:
         n = stack.pop()
@@ -332,8 +342,9 @@ def _exact_square_hits(delta, shift, ys):
 def _square_radicand_hits(delta: int, shift: int, ceiling: int):
     """All ``y0`` in ``[0, ceiling]``, ascending, with ``delta*y0^2 + shift`` square.
 
-    ``delta`` is a non-square of at least 5.  Small windows are scanned one
-    ``y0`` at a time.  A larger window is searched by the
+    ``delta`` is a non-square of at least 5.  A small window is scanned
+    directly, skipping each ``y0`` whose class mod 64 makes the radicand a
+    non-square mod 64.  A larger window is searched by the
     Lagrange-Matthews-Mollin reduction: a hit is a solution of
     ``w^2 - delta*y0^2 = shift`` with ``w >= 0``; with ``g = gcd(w, y0)``,
     ``g^2`` divides the shift, and ``(w, y0)/g`` solves the equation for
@@ -347,8 +358,9 @@ def _square_radicand_hits(delta: int, shift: int, ceiling: int):
     Ceilings beyond 10^12 are rejected, as is a shift that Pollard-Brent
     cannot factor.
     """
-    if ceiling < 4096:
-        yield from _exact_square_hits(delta, shift, range(ceiling + 1))
+    if ceiling < 4096:  # the radicand mod 64 depends only on y0 mod 64
+        classes = [_SQUARES_64[(delta * r * r + shift) & 63] for r in range(min(ceiling + 1, 64))]
+        yield from _exact_square_hits(delta, shift, compress(range(ceiling + 1), cycle(classes)))
         return
     if ceiling > _CEILING_LIMIT:
         raise ValueError(
@@ -412,13 +424,6 @@ def representatives(form: QuadraticForm, m: int) -> RepresentativeSet:
     return list(kept.values())
 
 
-def _walk(row, matrix, rep_index, sign, exponent, step):
-    while True:
-        yield Solution(row[0], row[1], rep_index, exponent, sign)
-        row = matrix.apply(row)
-        exponent += step
-
-
 def solutions(
     form: QuadraticForm,
     m: int,
@@ -434,7 +439,9 @@ def solutions(
     given.  ``positive`` restricts emission to ``x > 0, y > 0``, a finite set
     when ``a``, ``b``, ``c`` share a sign: ``count`` may then emit fewer.
     Each orbit is swept once, both ways from its least row (``_dip``); one
-    reached from two starts keeps the first (rep, sign), +1 before -1.
+    reached from two starts keeps the first (rep, sign), +1 before -1.  The
+    sweeps share one heap of plain rows; each row taken from it is re-checked
+    against ``F(x, y) = m``, and only an emitted one becomes a ``Solution``.
     """
     if m == 0:
         raise ValueError("degenerate right-hand side")
@@ -449,24 +456,32 @@ def solutions(
         return []
     matrix = orbit_matrix(form)
     inverse = matrix.inverse()
-    walkers = {}  # least row -> (forward walker, backward walker)
+    owners = {}  # least row -> (rep index, sign, exponent) of the first to reach it
     for index, rep in enumerate(reps):
         for sign in (1, -1):
             row, k = _dip((sign * rep[0], sign * rep[1]), matrix, inverse)
-            if row not in walkers:
-                walkers[row] = (_walk(row, matrix, index, sign, k, 1),
-                                _walk(inverse.apply(row), inverse, index, sign, k - 1, -1))
+            owners.setdefault(row, (index, sign, k))
+    heap, walkers = [], []  # heap rows (|x|, x, y, walker, exponent)
+    for row, (index, sign, k) in owners.items():
+        for (x, y), mat, step, e in ((row, matrix, 1, k), (inverse.apply(row), inverse, -1, k - 1)):
+            heap.append((abs(x), x, y, len(walkers), e))
+            walkers.append((*mat, step, index, sign))
+    heapq.heapify(heap)
     out: list[Solution] = []
-    for sol in heapq.merge(*(w for pair in walkers.values() for w in pair), key=_key):
-        if xbound is not None and abs(sol.x) > xbound:
+    a, b, c = form
+    while True:  # keys (|x|, x, y) are unique, so walkers are never compared
+        _, x, y, w, e = heap[0]
+        if xbound is not None and abs(x) > xbound:
             break
-        if form.evaluate(sol.x, sol.y) != m:
+        if a * x * x + b * x * y + c * y * y != m:
             raise AssertionError("orbit sweep produced a non-solution")
-        if positive and not (sol.x > 0 and sol.y > 0):
-            continue
-        out.append(sol)
-        if count is not None and len(out) >= count:
-            break
+        m11, m12, m21, m22, step, index, sign = walkers[w]
+        if not positive or (x > 0 and y > 0):
+            out.append(Solution(x, y, index, e, sign))
+            if count is not None and len(out) >= count:
+                break
+        x, y = x * m11 + y * m21, x * m12 + y * m22
+        heapq.heapreplace(heap, (abs(x), x, y, w, e + step))
     return out
 
 

@@ -486,6 +486,8 @@ def verify(id: str, n_max: int, values=None) -> VerificationReport:
 
 def verify_group(group: str, n_max: int, pell_count: int = 10, values=None):
     """All reports for one identity group, in catalog order."""
+    if group not in GROUPS:
+        raise ValueError("no such identity")
     if n_max < 1 or pell_count < 1:
         raise ValueError("arguments positive")
     return _group_reports(group, n_max, pell_count, _checked(values))
@@ -499,10 +501,7 @@ def _group_reports(group: str, n_max: int, pell_count: int, S: SequenceValues):
         ]
     if group == "interlock":
         return [_run_candidate(c, n_max, S) for c in INTERLOCK]
-    checks = [c for c in CATALOG if c.group == group]
-    if not checks:
-        raise ValueError("no such identity")
-    return [_run_check(c, n_max, S) for c in checks]
+    return [_run_check(c, n_max, S) for c in CATALOG if c.group == group]
 
 
 def verify_all(n_max: int, pell_count: int, values=None):

@@ -334,7 +334,7 @@ def test_ci_smoke_pins_hold_in_process(capsys, monkeypatch):
     monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
     pins = _CI_PIN.findall(workflow.read_text())
-    assert len(pins) == 15
+    assert len(pins) == 17
     for args, digest in pins:
         code, out, _ = run(capsys, *args.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, args

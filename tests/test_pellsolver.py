@@ -320,14 +320,20 @@ def test_pair_of_two_orbits_keeps_the_first_orbit():
     ((8, 0, -1), -9, dict(count=5), 4),  # 2 starts, 2 orbits
 ])
 def test_each_orbit_is_swept_once(monkeypatch, abc, m, limits, walks):
-    # two walkers, forward and backward from the least row, per orbit, however
-    # many signed representatives reach it; the stream repeats no pair
-    calls = []
-    walk = pellsolver._walk
-    monkeypatch.setattr(pellsolver, "_walk", lambda *args: calls.append(args) or walk(*args))
-    got = solutions(QuadraticForm(*abc), m, **limits)
-    assert len(calls) == walks
-    assert len({row for row, *_, step in calls if step == 1}) == walks // 2
+    # the sweep's heap starts with two rows per orbit, however many signed
+    # representatives reach it: the least row, walked forward, and the row
+    # before it, walked backward; the stream repeats no pair
+    heaps = []
+    heapify = pellsolver.heapq.heapify
+    monkeypatch.setattr(pellsolver.heapq, "heapify", lambda h: heaps.append(list(h)) or heapify(h))
+    form = QuadraticForm(*abc)
+    got = solutions(form, m, **limits)
+    [starts] = heaps
+    assert len(starts) == walks
+    rows = {(x, y) for _, x, y, *_ in starts}
+    assert len(rows) == walks
+    matrix = orbit_matrix(form)
+    assert sum(pellsolver._dip(row, matrix, matrix.inverse())[0] == row for row in rows) == walks // 2
     assert len({s.pair() for s in got}) == len(got)
 
 
@@ -536,6 +542,53 @@ def test_factor_matches_sympy():
     cases += [rng.randrange(1, 1 << 66) for _ in range(40)]
     for n in cases:
         assert _factor(n) == sympy.factorint(n), n
+
+
+def _factor_by_every_small_divisor(n):
+    # trial division by every p below 2^10, then the same Miller-Rabin and
+    # Pollard-Brent as _factor
+    out = {}
+    for p in range(2, 1 << 10):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        n = stack.pop()
+        if pellsolver._is_prime(n):
+            out[n] = out.get(n, 0) + 1
+            continue
+        d = pellsolver._rho_factor(n)
+        stack += [d, n // d]
+    return out
+
+
+def test_factor_divides_only_by_the_small_primes_of_n():
+    rng = random.Random(0x6CD)
+    cases = [1, 1021, 1031, 1021 * 1031, 2**62 + 57]
+    cases += [rng.randrange(1, 1 << 40) for _ in range(300)]
+    cases += [2**k * 3**j * 1021**i for k in (0, 1, 9, 40, 1013, 1020)
+              for j in (0, 1, 7, 60) for i in (0, 1, 2, 5)]
+    for n in cases:
+        assert _factor(n) == _factor_by_every_small_divisor(n), n
+
+
+def test_small_scan_skips_only_rows_that_cannot_be_square():
+    # below 4096 the scan skips y0 whose class mod 64 makes the radicand a
+    # non-square mod 64; the hits equal a scan of the whole window
+    rng = random.Random(0x5CA7)
+    for case in range(240):
+        ceiling = [0, 1, 63, 64, 65, 4095][case] if case < 6 else rng.randrange(4096)
+        delta = rng.randrange(5, 10**6) * 2 + case % 2  # odd and even
+        while math.isqrt(delta) ** 2 == delta:
+            delta += 2
+        y0 = rng.randint(0, ceiling)
+        root = math.isqrt(delta * y0 * y0) + rng.randint(-3, 3) * (case % 3 != 2)
+        shift = root * root - delta * y0 * y0 if case % 4 else rng.randint(-10**6, 10**6)
+        if case % 3 == 1 and shift > 0:
+            shift = -shift
+        expected = list(_exact_square_hits(delta, shift, range(ceiling + 1)))
+        assert list(_square_radicand_hits(delta, shift, ceiling)) == expected, (delta, shift, ceiling)
 
 
 def test_sqrt_mod_prime_power_lists_every_root():

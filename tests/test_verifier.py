@@ -63,6 +63,10 @@ def test_unknown_identity():
     # the id is looked up before the range is checked
     with pytest.raises(ValueError, match="no such identity"):
         verify("nosuch", 0)
+    with pytest.raises(ValueError, match="no such identity"):
+        verify_group("nosuch", 0)
+    with pytest.raises(ValueError, match="no such identity"):
+        verify_group("teo99", 5, pell_count=0)
 
 
 def test_verify_argument_validation():
