@@ -16,7 +16,7 @@ import sys
 from .pellsolver import QuadraticForm, solutions
 # term stays a module global: perfbench's tracer wraps it here
 from .sequences import KIND_BY_NAME, term, terms  # noqa: F401
-from .verifier import GROUPS, verify, verify_all, verify_group
+from .verifier import GROUPS, reports_to_jsonl, verify, verify_all, verify_group
 
 _FORMATS = ("plain", "jsonl")
 
@@ -88,10 +88,10 @@ def _cmd_verify(args) -> int:
             reports = [verify(args.id, args.upto)]
     except ValueError as exc:
         return _fail(str(exc))
-    for report in reports:
-        if args.format == "jsonl":
-            print(_jsonl(report.to_dict()))
-        else:
+    if args.format == "jsonl":
+        print(reports_to_jsonl(reports))
+    else:
+        for report in reports:
             line = f"{report.id} [{report.lo}..{report.hi}] {report.status}"
             if report.counterexample is not None:
                 line += f" counterexample={_jsonl(report.counterexample)}"

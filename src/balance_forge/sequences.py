@@ -142,7 +142,6 @@ def _parity(odd, even):
 
 # kind -> general term over the core accessors v.B, v.b, v.C, v.c, v.P; the
 # recurrence route (term, terms) and the verifier's columns both read it.
-# Each reads a family's lower index first: terms seeds a family at its first read
 _DERIVED = {
     SequenceKind.Bstar: lambda v, n: 3 * v.B(n),
     SequenceKind.Cstar: lambda v, n: 3 * v.C(n),
@@ -153,9 +152,9 @@ _DERIVED = {
     SequenceKind.Cstarstar: _parity(
         lambda v, m: 8 * v.B(m - 1) + v.C(m - 1), lambda v, m: 8 * v.B(m) - v.C(m)),
     SequenceKind.bstar: _parity(
-        lambda v, m: 1 - v.b(m - 1) + 4 * v.b(m), lambda v, m: -v.b(m) + 2 * v.b(m + 1)),
+        lambda v, m: 4 * v.b(m) - v.b(m - 1) + 1, lambda v, m: 2 * v.b(m + 1) - v.b(m)),
     SequenceKind.cstar: _parity(
-        lambda v, m: -2 * v.c(m) + v.c(m + 1), lambda v, m: -4 * v.c(m + 1) + v.c(m + 2)),
+        lambda v, m: v.c(m + 1) - 2 * v.c(m), lambda v, m: v.c(m + 2) - 4 * v.c(m + 1)),
 }
 
 
@@ -167,29 +166,23 @@ def term(kind: SequenceKind, n: int) -> int:
 class _Window:
     """One core family near a rising index: stepped forward, the last two kept.
 
-    Seeded at its first read: a general term reads each family at one index
-    or at two adjacent ones, the lower first, and the next index reads none
-    lower, so every read is one of the two newest values.
+    Seeded one index below its first read (at 0 for a first read at 0): a
+    general term reads each family at one index or at two adjacent ones, in
+    either order, and the next index reads none lower, so every read is one
+    of the two newest values.
     """
 
     def __init__(self, kind: SequenceKind, chains: dict):
         self.kind, self.chains, self.steps = kind, chains, None
-        self.recent: deque[int] = deque(maxlen=2)
 
     def __call__(self, n: int) -> int:
         if self.steps is None:  # top: one past the index of the newest kept value
-            self.steps, self.top = _stepped(self.kind, n, self.chains), n
+            self.top, self.recent = max(n - 1, 0), deque(maxlen=2)
+            self.steps = _stepped(self.kind, self.top, self.chains)
         while self.top <= n:
             self.recent.append(next(self.steps))
             self.top += 1
         return self.recent[n - self.top]
-
-
-class _Windows(SimpleNamespace):
-    """The core accessors of one stream: a ``_Window`` per family, all seeded from ``chains``."""
-
-    def __getattr__(self, name: str) -> _Window:
-        return self.__dict__.setdefault(name, _Window(KIND_BY_NAME[name], self.chains))
 
 
 def terms(kind: SequenceKind, start: int = 0):
@@ -204,7 +197,9 @@ def terms(kind: SequenceKind, start: int = 0):
     general = _DERIVED.get(kind)
     if general is None:
         raise ValueError(f"unknown kind {kind!r}")
-    return map(partial(general, _Windows(chains={})), count(start))
+    chains = {}
+    windows = SimpleNamespace(**{k.value: _Window(k, chains) for k in CORE_KINDS})
+    return map(partial(general, windows), count(start))
 
 
 _ALPHA = QuadInt(1, 1, 2)

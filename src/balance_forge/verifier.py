@@ -148,8 +148,7 @@ class IdentityCheck(record("IdentityCheck", "id start fn")):
         return self.id.split(".", 1)[0]
 
 
-def _I(id, start, fn):
-    return IdentityCheck(id, start, fn)
+_I = IdentityCheck
 
 
 CATALOG: list[IdentityCheck] = [
@@ -406,35 +405,30 @@ def _run_candidate(cand: CandidateIdentity, n_max: int, S: SequenceValues) -> Ve
     return VerificationReport(cand.id, cand.start, n_max, "fail", ce)
 
 
-# The four solution-set claims: equation label -> (form, m, family term maps)
+# The four solution-set claims: equation label -> (group, form, m, family term maps)
 PELL_EQUATIONS = {
     "8x^2-y^2=-9": (
-        (8, 0, -1), -9,
+        "teo1", (8, 0, -1), -9,
         ((lambda S, n: (3 * S.B(n), 3 * S.C(n))),),
     ),
     "8x^2-w^2=7": (
-        (8, 0, -1), 7,
+        "teo1", (8, 0, -1), 7,
         (
             lambda S, n: (S.B(n - 1) + S.C(n - 1), 8 * S.B(n - 1) + S.C(n - 1)),
             lambda S, n: (S.C(n) - S.B(n), 8 * S.B(n) - S.C(n)),
         ),
     ),
     "2x^2-y^2=-7": (
-        (2, 0, -1), -7,
+        "teo3", (2, 0, -1), -7,
         (
             lambda S, n: (6 * S.B(n - 1) + S.C(n - 1), 4 * S.B(n - 1) + 3 * S.C(n - 1)),
             lambda S, n: (6 * S.B(n) - S.C(n), 3 * S.C(n) - 4 * S.B(n)),
         ),
     ),
     "2x^2-w^2=9": (
-        (2, 0, -1), 9,
+        "teo3", (2, 0, -1), 9,
         ((lambda S, n: (6 * S.B(n - 1) + 3 * S.C(n - 1), 12 * S.B(n - 1) + 3 * S.C(n - 1))),),
     ),
-}
-
-_EQUATION_GROUP = {
-    "8x^2-y^2=-9": "teo1", "8x^2-w^2=7": "teo1",
-    "2x^2-y^2=-7": "teo3", "2x^2-w^2=9": "teo3",
 }
 
 
@@ -453,8 +447,8 @@ def _run_solution_set(equation: str, count: int, S: SequenceValues) -> Verificat
         raise ValueError("no such identity")
     if count < 1:
         raise ValueError("arguments positive")
-    coeffs, m, families = PELL_EQUATIONS[equation]
-    rid = f"{_EQUATION_GROUP[equation]}.{equation}"
+    group, coeffs, m, families = PELL_EQUATIONS[equation]
+    rid = f"{group}.{equation}"
     try:
         for fam in families:  # fill each column at once
             fam(S, count)
@@ -497,7 +491,7 @@ def _group_reports(group: str, n_max: int, pell_count: int, S: SequenceValues):
     if group in ("teo1", "teo3"):
         return [
             _run_solution_set(eq, pell_count, S)
-            for eq, grp in _EQUATION_GROUP.items() if grp == group
+            for eq, (grp, *_) in PELL_EQUATIONS.items() if grp == group
         ]
     if group == "interlock":
         return [_run_candidate(c, n_max, S) for c in INTERLOCK]

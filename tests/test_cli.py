@@ -160,6 +160,18 @@ def test_solve_unfactorable_right_hand_side_exits_two(capsys, monkeypatch):
     assert err == "4*a*m could not be factored; the representative search needs its prime factors\n"
 
 
+def test_solve_exits_two_when_pollard_brent_gives_up(capsys):
+    m = 35184372088891 * 52776558133303  # two primes past Pollard-Brent's step budget
+    form = pellsolver.QuadraticForm(1, 0, -99999999)
+    matrix = pellsolver.orbit_matrix(form)
+    # inside the window the solver searches, so the ceiling refusal does not fire first
+    assert pellsolver._search_ceiling(form, m, matrix.m11 + matrix.m22) == 304_690_366_315
+    code, out, err = run(capsys, "solve", "1", "0", "-99999999", str(m), "--count", "1")
+    assert (code, out) == (2, "")
+    assert err == "4*a*m could not be factored; the representative search needs its prime factors\n"
+
+
+
 def test_solve_count_stops_on_a_finite_positive_set():
     # a, b and c of one sign leave finitely many solutions with x, y > 0
     env = {**os.environ, "PYTHONPATH": str(Path(balance_forge.__file__).parents[1])}
@@ -233,6 +245,10 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "pellk.B", "--upto", "5")
     assert code == 1
     assert "fail" in out and "counterexample" in out
+    code, out, _ = run(capsys, "verify", "pellk.B", "--upto", "5", "--format", "jsonl")
+    assert code == 1
+    assert out == ('{"counterexample":{"lhs":0,"n":3,"rhs":1},'
+                   '"id":"pellk.B","range":[1,5],"status":"fail"}\n')
 
 
 @needs_digit_limit
@@ -334,7 +350,7 @@ def test_ci_smoke_pins_hold_in_process(capsys, monkeypatch):
     monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
     pins = _CI_PIN.findall(workflow.read_text())
-    assert len(pins) == 17
+    assert len(pins) == 21
     for args, digest in pins:
         code, out, _ = run(capsys, *args.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, args

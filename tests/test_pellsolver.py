@@ -573,6 +573,13 @@ def test_factor_divides_only_by_the_small_primes_of_n():
         assert _factor(n) == _factor_by_every_small_divisor(n), n
 
 
+def test_factor_gives_up_on_two_primes_past_the_rho_budget():
+    p, q = 35184372088891, 52776558133303  # the primes after 2^45 and 3 * 2^44
+    assert pellsolver._is_prime(p) and pellsolver._is_prime(q)
+    assert _factor(p * q) is None
+
+
+
 def test_small_scan_skips_only_rows_that_cannot_be_square():
     # below 4096 the scan skips y0 whose class mod 64 makes the radicand a
     # non-square mod 64; the hits equal a scan of the whole window

@@ -497,6 +497,34 @@ def test_derived_term_runs_one_chain_per_family(kind, chains):
         assert chains == _recurrences(FAMILIES_READ[kind]) == [(6, -1)], n
 
 
+# the bs and cs branches (odd, even), each in both orders of its two reads
+# of one family: the higher index first, as the paper writes it, and the lower
+EITHER_ORDER = {
+    K.bstar: (
+        (lambda v, m: 4 * v.b(m) - v.b(m - 1) + 1, lambda v, m: 1 - v.b(m - 1) + 4 * v.b(m)),
+        (lambda v, m: 2 * v.b(m + 1) - v.b(m), lambda v, m: -v.b(m) + 2 * v.b(m + 1)),
+    ),
+    K.cstar: (
+        (lambda v, m: v.c(m + 1) - 2 * v.c(m), lambda v, m: -2 * v.c(m) + v.c(m + 1)),
+        (lambda v, m: v.c(m + 2) - 4 * v.c(m + 1), lambda v, m: -4 * v.c(m + 1) + v.c(m + 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", ["odd", "even"])
+@pytest.mark.parametrize("kind", list(EITHER_ORDER), ids=lambda k: k.value)
+def test_general_terms_read_a_family_in_either_order(kind, branch, monkeypatch):
+    expected = [term(kind, n) for n in range(301)], list(islice(terms(kind, 40000), 2))
+    table = sequences._DERIVED[kind]
+    table_odd, table_even = lambda v, m: table(v, 2 * m - 1), lambda v, m: table(v, 2 * m)
+    for general in EITHER_ORDER[kind][branch == "even"]:
+        odd, even = (general, table_even) if branch == "odd" else (table_odd, general)
+        monkeypatch.setitem(sequences._DERIVED, kind, sequences._parity(odd, even))
+        got = [term(kind, n) for n in range(301)], list(islice(terms(kind, 40000), 2))
+        assert got == expected
+
+
+
 @pytest.mark.parametrize("kind", CORE_KINDS, ids=lambda k: k.value)
 def test_core_term_runs_one_chain(kind, chains):
     for n in (0, 1, 3001):

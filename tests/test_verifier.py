@@ -139,6 +139,10 @@ def test_failing_report_carries_counterexample():
     assert report.counterexample["n"] == 7
     assert report.counterexample["lhs"] == term(K.B, 7)
     assert report.counterexample["rhs"] == term(K.B, 7) + 1
+    # the jsonl line carries it; no passing report runs that branch of to_dict
+    assert reports_to_jsonl([report]) == (
+        '{"counterexample":{"lhs":40391,"n":7,"rhs":40392,"route":"recurrence"},'
+        '"id":"pellk.B","range":[1,10],"status":"fail"}')
 
 
 def test_unknown_route():
