@@ -16,7 +16,7 @@ import sys
 from .pellsolver import QuadraticForm, solutions
 # term stays a module global: perfbench's tracer wraps it here
 from .sequences import KIND_BY_NAME, term, terms  # noqa: F401
-from .verifier import GROUPS, reports_to_jsonl, verify, verify_all, verify_group
+from .verifier import GROUPS, _jsonl, reports_to_jsonl, verify, verify_all, verify_group
 
 _FORMATS = ("plain", "jsonl")
 
@@ -24,11 +24,6 @@ _FORMATS = ("plain", "jsonl")
 def _default_format() -> str:
     env = os.environ.get("BALANCE_FORGE_FORMAT", "plain")
     return env if env in _FORMATS else "plain"
-
-
-def _jsonl(obj: dict) -> str:
-    import json  # loaded on first use, off the import path
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _fail(message: str) -> int:

@@ -165,14 +165,15 @@ def _dip(row, matrix, inverse):
 _CEILING_LIMIT = 10**12
 # Pollard-Brent gives up on a number it has not split in this many steps
 _RHO_STEPS = 1 << 20
-# Miller-Rabin on these bases is exact below 3.3 * 10^24
+# Miller-Rabin on these bases is exact below the least strong pseudoprime to all of them
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # that one; no composite is known to pass Baillie-PSW
 # 1023!, whose prime factors are the primes below 2^10; built on first use
 _small_factorial = functools.cache(functools.partial(math.factorial, (1 << 10) - 1))
 
 
 def _is_prime(n: int) -> bool:
-    """Whether ``n`` is prime, by Miller-Rabin on ``_WITNESSES``."""
+    """Whether ``n`` is prime: Miller-Rabin on ``_WITNESSES``, Baillie-PSW from ``_PSI_13`` on."""
     if n in _WITNESSES:
         return True
     if n < 2 or any(n % p == 0 for p in _WITNESSES):
@@ -190,7 +191,46 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol ``(a/n)`` of an odd ``n > 0``."""
+    a, j = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                j = -j
+        if a % 4 == n % 4 == 3:
+            j = -j
+        a, n = n % a, a
+    return j if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Whether the odd ``n > 1`` passes the strong Lucas test with Selfridge's parameters:
+    ``D`` the first of 5, -7, 9, -11, ... with ``(D/n) = -1``, ``P = 1``, ``Q = (1 - D) / 4``."""
+    if isqrt(n) ** 2 == n:  # no D has (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:  # D and n share a factor
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q, half = (1 - D) // 4, (n + 1) // 2  # half is 1/2 mod n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2^s, d odd
+    d = (n + 1) >> s
+    u, v, q = 1, 1, Q % n  # U(k), V(k), Q^k from k = 1, by the bits of d
+    for bit in bin(d)[3:]:
+        u, v, q = u * v % n, (v * v - 2 * q) % n, q * q % n
+        if bit == "1":
+            u, v, q = (u + v) * half % n, (D * u + v) * half % n, q * Q % n
+    for _ in range(s):  # prime: U(d) or some V(d * 2^r), r < s, is 0 mod n
+        if u == 0 or v == 0:
+            return True
+        v, q = (v * v - 2 * q) % n, q * q % n
+    return False
 
 
 def _rho_factor(n: int) -> int | None:
@@ -229,9 +269,10 @@ def _factor(n: int) -> dict[int, int] | None:
     """``{prime: exponent}`` of ``n > 0``, or None if Pollard-Brent gives up.
 
     Trial division tries only the primes below 2^10 that divide ``n``, read
-    from ``gcd(n, 1023!)``.  A factor above 3.3 * 10^24 that passes
-    Miller-Rabin on ``_WITNESSES`` is taken for a prime.
+    from ``gcd(n, 1023!)``; a factor left is kept if ``_is_prime`` passes it.
     """
+    if n < 1:
+        raise ValueError("only n > 0 has a factorization")
     out: dict[int, int] = {}
     g = math.gcd(n, _small_factorial())
     for p in range(2, 1 << 10):

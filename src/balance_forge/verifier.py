@@ -2,7 +2,9 @@
 
 Every identity is evaluated in exact integer arithmetic on the recurrence
 route, for each index in range; a division that is not exact is a
-counterexample, not a crash.  Identities read the families only through
+counterexample, not a crash.  A radical or a balancer takes its root from the
+witness column (``C``, ``c``, ``WITNESS_KIND``) if one squaring confirms it,
+else from the exact test.  Identities read the families only through
 ``SequenceValues`` accessors (``S.B``, ``S.Bss``, ...) over five core
 columns, each compared with the closed-form route (powers of ``1 + sqrt(2)``)
 as it fills; a read from the first entry that differs on fails the check
@@ -42,7 +44,7 @@ from .pellsolver import QuadraticForm, solutions
 from .quadarith import is_perfect_square, record
 # term and term_binet stay module globals: perfbench's tracer wraps them here
 from .sequences import (  # noqa: F401
-    CORE_KINDS, _DERIVED, BalancerKind, SequenceKind, balancer, closed_form_terms, term,
+    CORE_KINDS, _DERIVED, BalancerKind, SequenceKind, _gap, balancer, closed_form_terms, term,
     term_binet, terms,
 )
 
@@ -131,7 +133,9 @@ def _xdiv(a: int, b: int) -> int:
     return q
 
 
-def _xsqrt(x: int) -> int:
+def _xsqrt(x: int, hint: int) -> int:
+    if hint >= 0 and hint * hint == x:
+        return hint
     if x < 0:
         raise _Inexact(f"{x} is negative under a radical")
     ok, root = is_perfect_square(x)
@@ -245,10 +249,10 @@ CATALOG: list[IdentityCheck] = [
     _I("pellk.c", 1, lambda S, n: (S.c(n), S.P(2 * n - 1) + S.P(2 * n - 2))),
     # baa12: radical conversions between balancing and cobalancing numbers
     _I("baa12.b", 1, lambda S, n: (
-        S.b(n), _xdiv(-2 * S.B(n) - 1 + _xsqrt(8 * S.B(n) ** 2 + 1), 2))),
+        S.b(n), _xdiv(-2 * S.B(n) - 1 + _xsqrt(8 * S.B(n) ** 2 + 1, S.C(n)), 2))),
     _I("baa12.B", 1, lambda S, n: (
         S.B(n),
-        _xdiv(2 * S.b(n) + 1 + _xsqrt(8 * S.b(n) ** 2 + 8 * S.b(n) + 1), 2),
+        _xdiv(2 * S.b(n) + 1 + _xsqrt(8 * S.b(n) ** 2 + 8 * S.b(n) + 1, S.c(n)), 2),
     )),
     # sec4: second-type terms as 2-step combinations; cobalancing classes
     _I("sec4.Bstarstar_odd", 1, lambda S, n: (
@@ -266,16 +270,21 @@ CATALOG: list[IdentityCheck] = [
 ]
 
 
+def _witnessed(kind: BalancerKind, x: int, root: int) -> int:
+    gap = _gap(kind, x, root)
+    return balancer(kind, x) if gap is None else gap
+
+
 def _almost_balancer(S: SequenceValues, first_type: bool, k: int) -> int:
     if first_type:
-        return balancer(BalancerKind.Rstar, S.Bs(k))
-    return balancer(BalancerKind.Rstarstar, S.Bss(k))
+        return _witnessed(BalancerKind.Rstar, S.Bs(k), S.Cs(k))
+    return _witnessed(BalancerKind.Rstarstar, S.Bss(k), S.Css(k))
 
 
 def _almost_cobalancer(S: SequenceValues, first_type: bool, k: int) -> int:
     if first_type:
-        return balancer(BalancerKind.rstar, S.bs(k))
-    return balancer(BalancerKind.rstarstar, S.bss(k))
+        return _witnessed(BalancerKind.rstar, S.bs(k), S.cs(k))
+    return _witnessed(BalancerKind.rstarstar, S.bss(k), S.css(k))
 
 
 class CandidateIdentity(record("CandidateIdentity", "id start lhs candidates")):
@@ -332,12 +341,13 @@ class VerificationReport(record("VerificationReport", "id lo hi status counterex
         return out
 
 
-def reports_to_jsonl(reports) -> str:
+def _jsonl(obj: dict) -> str:
     import json  # loaded on first use, off the import path
-    return "\n".join(
-        json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
-        for r in reports
-    )
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def reports_to_jsonl(reports) -> str:
+    return "\n".join(_jsonl(r.to_dict()) for r in reports)
 
 
 _CHECK_BY_ID = {check.id: check for check in CATALOG}
@@ -379,7 +389,7 @@ def _json_value(v):
 def _run_candidate(cand: CandidateIdentity, n_max: int, S: SequenceValues) -> VerificationReport:
     survivors, (first, _) = list(cand.candidates), cand.candidates[0]
     try:
-        for fn in (cand.lhs, *(fn for _, fn in survivors)):  # fill each column at once
+        for fn in (cand.lhs, *(fn for _, fn in reversed(survivors))):  # fill, top index first
             with suppress(ValueError):
                 fn(S, n_max)
         for n in range(cand.start, n_max + 1):

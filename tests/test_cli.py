@@ -171,6 +171,19 @@ def test_solve_exits_two_when_pollard_brent_gives_up(capsys):
     assert err == "4*a*m could not be factored; the representative search needs its prime factors\n"
 
 
+def test_solve_refuses_a_strong_pseudoprime_factor(capsys):
+    # 4*a*m has the factor 3317044064679887385961981, a strong pseudoprime to
+    # every Miller-Rabin witness; taken for a prime, it cost two square roots
+    # of the discriminant and this call printed nothing and exited 0, though
+    # (-628557212321269383038151, 1) solves it
+    code, out, err = run(
+        capsys, "solve", "1", "1413826713668295963084578", "1",
+        "-493586808687600319860312700683530124699892236476",
+        "--xbound", "628557212321269383038151", "--all")
+    assert (code, out) == (2, "")
+    assert err == "4*a*m could not be factored; the representative search needs its prime factors\n"
+
+
 
 def test_solve_count_stops_on_a_finite_positive_set():
     # a, b and c of one sign leave finitely many solutions with x, y > 0
@@ -350,7 +363,7 @@ def test_ci_smoke_pins_hold_in_process(capsys, monkeypatch):
     monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
     pins = _CI_PIN.findall(workflow.read_text())
-    assert len(pins) == 21
+    assert len(pins) == 25
     for args, digest in pins:
         code, out, _ = run(capsys, *args.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, args

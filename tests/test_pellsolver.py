@@ -579,6 +579,49 @@ def test_factor_gives_up_on_two_primes_past_the_rho_budget():
     assert _factor(p * q) is None
 
 
+PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to the primes to 41
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_every_witness():
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not pellsolver._is_prime(PSI_13)
+    assert not pellsolver._is_prime(PSI_13 * 1000003)
+
+
+def test_strong_lucas_passes_the_primes_and_its_pseudoprimes():
+    # the odd composites below 10^5 that pass: OEIS A217255
+    pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                    58519, 75077, 97439]
+    sieve = bytearray([1]) * 100000
+    for p in range(2, 317):
+        sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+    passed = [n for n in range(3, 100000, 2) if pellsolver._strong_lucas(n)]
+    assert passed == sorted([n for n in range(3, 100000, 2) if sieve[n]] + pseudoprimes)
+    # no D has (D/n) = -1 for a square n; the search would run to a factor of n
+    assert not pellsolver._strong_lucas((2**64 + 13) ** 2)
+
+
+def test_is_prime_matches_sympy_above_psi_13():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0xB95)
+    for _ in range(40):
+        bits = rng.randrange(82, 400)
+        p = sympy.nextprime(rng.getrandbits(bits))
+        q = sympy.nextprime(rng.getrandbits(bits // 2 + 1))
+        n = rng.getrandbits(bits) | 1 | 1 << 82
+        for m in (p, p * q, p * p, n):
+            assert pellsolver._is_prime(m) == sympy.isprime(m), m
+
+
+def test_factor_refuses_zero_before_any_division(monkeypatch):
+    # gcd(0, 1023!) is 1023! and 0 is divisible by every p, so the trial
+    # division never ended on 0
+    monkeypatch.setattr(pellsolver, "_small_factorial", lambda: pytest.fail("divided"))
+    for n in (0, -12):
+        with pytest.raises(ValueError):
+            _factor(n)
+
+
 
 def test_small_scan_skips_only_rows_that_cannot_be_square():
     # below 4096 the scan skips y0 whose class mod 64 makes the radicand a

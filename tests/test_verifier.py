@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import weakref
 
 import pytest
@@ -423,3 +424,71 @@ def test_interlock_fills_each_column_at_once(monkeypatch, id):
     reports = verify_group(id, 1000, 50) if id in GROUPS else [verify(id, 1000)]
     assert all(report.passed for report in reports)
     assert len(fills) <= 10
+
+
+def _xsqrt_outcome(x, hint=-1):  # a negative hint is none
+    try:
+        return verifier._xsqrt(x, hint)
+    except verifier._Inexact as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 15, 16, 17, -4, -16, 99**2, 99**2 - 1,
+                               term(K.C, 700) ** 2, term(K.C, 700) ** 2 + 1],
+                         ids=lambda x: str(x) if x.bit_length() < 32 else f"{x.bit_length()}bit")
+def test_xsqrt_ignores_a_hint_that_is_not_the_root(x):
+    # a wrong, negative or off-by-one hint gives the root or the message of
+    # the exact test, as no hint does
+    root = math.isqrt(max(x, 0))
+    for hint in (-1, -root, root - 1, root + 1, 2 * root + 3, 0):
+        assert _xsqrt_outcome(x, hint) == _xsqrt_outcome(x), hint
+    assert _xsqrt_outcome(x, root) == _xsqrt_outcome(x)
+
+
+@pytest.mark.parametrize("id, witness", [
+    ("baa12.b", K.C), ("baa12.B", K.c),
+    ("interlock.Bstar", K.cstar), ("interlock.Bstar", K.cstarstar),
+    ("interlock.bstar", K.Cstar), ("interlock.bstar", K.Cstarstar),
+])
+@pytest.mark.parametrize("fault", ["plus_one", "negated"])
+def test_faulty_witness_column_leaves_the_report(id, witness, fault):
+    # a witness read that does not square to the radicand falls back to the
+    # exact root, so a fault there changes nothing the report states
+    n_max = 30
+    overrides = {(witness, n): 1 if fault == "plus_one" else -2 * term(witness, n)
+                 for n in range(n_max + 3)}
+    report = verify(id, n_max, values=SequenceValues(overrides=overrides))
+    assert report == verify(id, n_max) and report.passed
+
+
+@pytest.mark.parametrize("id, fault, counterexample", [
+    ("baa12.b", (K.B, 6, 1),
+     {"n": 6, "reason": "384310089 is not a perfect square", "route": "recurrence"}),
+    ("baa12.B", (K.b, 6, 1),
+     {"n": 6, "reason": "65964097 is not a perfect square", "route": "recurrence"}),
+    ("interlock.Bstarstar", (K.bstar, 5, 2),
+     {"n": 5, "lhs": 23, "rhs": None, "candidate": "almost_cobalancer(first, n+0)"}),
+    ("interlock.bstarstar", (K.Bstar, 4, 3),
+     {"n": 4, "lhs": 253, "rhs": None, "candidate": "almost_balancer(first, n+0)"}),
+    # -x - s has the radicand of x, so the witness read squares to it; a
+    # negative value is still no member
+    ("interlock.bstarstar", (K.Bstar, 4, -2 * term(K.Bstar, 4)),
+     {"n": 4, "lhs": 253, "rhs": None, "candidate": "almost_balancer(first, n+0)"}),
+    ("interlock.Bstarstar", (K.bstar, 5, -2 * term(K.bstar, 5) - 1),
+     {"n": 5, "lhs": 23, "rhs": None, "candidate": "almost_cobalancer(first, n+0)"}),
+])
+def test_faulty_member_fails_as_the_exact_root_does(id, fault, counterexample):
+    # the same n and counterexample as when every root is found exactly
+    kind, n, delta = fault
+    report = verify(id, 12, values=SequenceValues(overrides={(kind, n): delta}))
+    assert report.status == "fail" and report.counterexample == counterexample
+
+
+def test_radicals_read_the_witness_column(monkeypatch):
+    # every root of baa12 and interlock is a witness read, confirmed by one
+    # squaring; neither the exact square test nor balancer runs
+    calls = []
+    for name in ("is_perfect_square", "balancer"):
+        monkeypatch.setattr(verifier, name, lambda *args: calls.append(args))
+    assert all(r.passed for r in verify_group("baa12", 300) + verify_group("interlock", 300))
+    assert calls == []
