@@ -4,14 +4,18 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 Output goes to stdout, one value / tuple / report per line; ``--format
 jsonl`` (or the ``BALANCE_FORGE_FORMAT`` environment variable) switches to
 one self-contained JSON object per line.
+
+``main`` reads a well-formed argv straight from ``_GRAMMAR``. Anything else
+(``--help``, abbreviations, ``--opt=value``, every usage error) goes to the
+argparse parser built from the same table; argparse is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from .pellsolver import QuadraticForm, solutions
 # term stays a module global: perfbench's tracer wraps it here
@@ -29,6 +33,11 @@ def _default_format() -> str:
 def _fail(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
+
+
+def _write(lines: list[str]) -> None:
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cmd_gen(args) -> int:
@@ -62,14 +71,13 @@ def _cmd_solve(args) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc))
-    for sol in sols:
-        if args.format == "jsonl":
-            print(_jsonl({
-                "command": "solve", "x": sol.x, "y": sol.y,
-                "rep": sol.rep, "exponent": sol.exponent, "sign": sol.sign,
-            }))
-        else:
-            print(f"({sol.x},{sol.y})")
+    if args.format == "jsonl":
+        _write([_jsonl({
+            "command": "solve", "x": sol.x, "y": sol.y,
+            "rep": sol.rep, "exponent": sol.exponent, "sign": sol.sign,
+        }) for sol in sols])
+    else:
+        _write([f"({sol.x},{sol.y})" for sol in sols])
     return 0
 
 
@@ -86,58 +94,107 @@ def _cmd_verify(args) -> int:
     if args.format == "jsonl":
         print(reports_to_jsonl(reports))
     else:
+        lines = []
         for report in reports:
             line = f"{report.id} [{report.lo}..{report.hi}] {report.status}"
             if report.counterexample is not None:
                 line += f" counterexample={_jsonl(report.counterexample)}"
             if report.note is not None:
                 line += f" ({report.note})"
-            print(line)
+            lines.append(line)
+        _write(lines)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMAT = ("--format", {"choices": _FORMATS, "default": None})
+
+# command -> (help, handler, arguments as (name, add_argument keywords) with the
+# positionals first, options of the required one-of group)
+_GRAMMAR = {
+    "gen": ("emit sequence terms for an index range", _cmd_gen, (
+        ("kind", {"help": f"sequence name ({' '.join(KIND_BY_NAME)})"}),
+        ("start", {"type": int}),
+        ("stop", {"type": int}),
+        _FORMAT,
+    ), ()),
+    "solve": ("solve a*x^2 + b*x*y + c*y^2 = m", _cmd_solve, (
+        *((name, {"type": int}) for name in "abcm"),
+        ("--count", {"type": int, "help": "emit this many solutions"}),
+        ("--xbound", {"type": int, "help": "emit all solutions with |x| <= bound"}),
+        ("--all", {"action": "store_true", "default": False,
+                   "help": "emit the full signed set instead of x>0, y>0"}),
+        _FORMAT,
+    ), ("--count", "--xbound")),
+    "verify": ("check cataloged identities exactly", _cmd_verify, (
+        ("id", {"help": "identity or group id, or 'all'"}),
+        ("--upto", {"type": int, "required": True, "metavar": "N"}),
+        ("--pell-count", {"type": int, "default": 10, "metavar": "K"}),
+        _FORMAT,
+    ), ()),
+}
+
+
+def build_parser():
+    """The ``argparse.ArgumentParser`` of ``_GRAMMAR``, for help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="balance-forge",
         description="Balancing-type sequences, Pell-equation orbits, identity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="emit sequence terms for an index range")
-    gen.add_argument("kind", help=f"sequence name ({' '.join(KIND_BY_NAME)})")
-    gen.add_argument("start", type=int)
-    gen.add_argument("stop", type=int)
-    gen.add_argument("--format", choices=_FORMATS, default=None)
-    gen.set_defaults(fn=_cmd_gen)
-
-    solve = sub.add_parser("solve", help="solve a*x^2 + b*x*y + c*y^2 = m")
-    solve.add_argument("a", type=int)
-    solve.add_argument("b", type=int)
-    solve.add_argument("c", type=int)
-    solve.add_argument("m", type=int)
-    limit = solve.add_mutually_exclusive_group(required=True)
-    limit.add_argument("--count", type=int, help="emit this many solutions")
-    limit.add_argument("--xbound", type=int, help="emit all solutions with |x| <= bound")
-    solve.add_argument("--all", action="store_true",
-                       help="emit the full signed set instead of x>0, y>0")
-    solve.add_argument("--format", choices=_FORMATS, default=None)
-    solve.set_defaults(fn=_cmd_solve)
-
-    ver = sub.add_parser("verify", help="check cataloged identities exactly")
-    ver.add_argument("id", help="identity or group id, or 'all'")
-    ver.add_argument("--upto", type=int, required=True, metavar="N")
-    ver.add_argument("--pell-count", type=int, default=10, metavar="K")
-    ver.add_argument("--format", choices=_FORMATS, default=None)
-    ver.set_defaults(fn=_cmd_verify)
-
+    for command, (about, fn, arguments, one_of) in _GRAMMAR.items():
+        cmd = sub.add_parser(command, help=about)
+        group = cmd.add_mutually_exclusive_group(required=True) if one_of else None
+        for name, keywords in arguments:
+            (group if name in one_of else cmd).add_argument(name, **keywords)
+        cmd.set_defaults(fn=fn)
     return parser
 
 
 _parser = functools.cache(build_parser)  # built on first use; parse_args keeps no state
 
 
+def _value(token: str, keywords: dict):
+    # argparse reads "-<digits>" as a value, not an option; the rest of the
+    # dash-led tokens it reads (non-ASCII digits, "-5\n", "-1.5") are left to it
+    if token[:1] == "-" and not (token[1:].isdigit() and token.isascii()):
+        raise ValueError(token)
+    value = keywords.get("type", str)(token)
+    if value not in keywords.get("choices", (value,)):
+        raise ValueError(token)
+    return value
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` for a well-formed argv, else None: the
+    command, each positional, then each option at most once, every value valid."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, fn, arguments, one_of = _GRAMMAR[argv[0]]
+    values, options, tokens = {"command": argv[0], "fn": fn}, {}, iter(argv[1:])
+    try:
+        for name, keywords in arguments:
+            if name[0] == "-":
+                options[name] = keywords
+                values[name[2:].replace("-", "_")] = keywords.get("default")
+            else:
+                values[name] = _value(next(tokens), keywords)
+        for flag in tokens:
+            keywords = options.pop(flag)  # KeyError: unknown, repeated or a stray value
+            values[flag[2:].replace("-", "_")] = (
+                True if "action" in keywords else _value(next(tokens), keywords))
+    except (StopIteration, KeyError, ValueError):
+        return None
+    missing = any(keywords.get("required") for keywords in options.values())
+    if missing or one_of and sum(flag not in options for flag in one_of) != 1:
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _match(argv) or _parser().parse_args(argv)
     args.format = args.format or _default_format()
     # print values of any size in full; CPython before 3.10.7 has no limit
     if not hasattr(sys, "set_int_max_str_digits"):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -7,11 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import balance_forge
 from balance_forge import cli, pellsolver, quadarith, sequences, verifier
 from balance_forge.cli import main
 from balance_forge.sequences import SequenceKind, term
+
+ROOT = Path(__file__).resolve().parents[1]
 
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"),
@@ -121,17 +126,39 @@ def test_solve_wide_window_without_numpy():
     assert proc.stdout.splitlines() == SOLVED_277
 
 
-def test_import_leaves_heavy_standard_modules_unloaded():
-    # dataclasses (with inspect), fractions (with decimal) and json each cost
-    # more to import than this package's own code; no run needs them loaded
-    script = ("import sys, balance_forge.cli\n"
-              "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'json'}"
-              " & set(sys.modules)))\n")
+def run_script(script):
     env = {**os.environ, "PYTHONPATH": str(Path(balance_forge.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+    env.pop("BALANCE_FORGE_FORMAT", None)
+    return subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
+
+
+def test_import_leaves_heavy_standard_modules_unloaded():
+    # dataclasses (with inspect), fractions (with decimal), json and argparse
+    # (with gettext and re) each cost more to import than this package's own
+    # code; no well-formed run needs them loaded
+    proc = run_script("import sys, balance_forge.cli\n"
+                      "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'json',"
+                      " 'argparse', 'gettext', 're'} & set(sys.modules)))\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_well_formed_runs_leave_argparse_unloaded():
+    proc = run_script(
+        "import sys\n"
+        "from balance_forge.cli import main\n"
+        "for argv in ('gen B 0 4', 'solve 8 0 -1 -9 --count 3', 'verify teo2 --upto 20'):\n"
+        "    assert main(argv.split()) == 0, argv\n"
+        "assert 'argparse' not in sys.modules\n"
+        "main(['solve', '--help'])\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:9] == ["0", "1", "6", "35", "204", "(3,9)", "(18,51)", "(105,297)",
+                         "teo2.Bstar [1..20] pass"]
+    assert lines[11] == "teo2.Cstarstar [1..20] pass"
+    assert lines[12].startswith("usage: balance-forge solve [-h]")
 
 
 def test_public_annotations_resolve():
@@ -358,12 +385,117 @@ _CI_PIN = re.compile(r'out=\$\(PYTHONPATH=src python -m balance_forge ([^|]*?) \
                      r'\s*test "\$out" = "([0-9a-f]{64})  -"')
 
 
+def ci_pins():
+    workflow = ROOT / ".github" / "workflows" / "tests.yml"
+    return _CI_PIN.findall(workflow.read_text())
+
+
 def test_ci_smoke_pins_hold_in_process(capsys, monkeypatch):
     # the workflow file stays the one record of these digests
     monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
-    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
-    pins = _CI_PIN.findall(workflow.read_text())
+    pins = ci_pins()
     assert len(pins) == 25
     for args, digest in pins:
         code, out, _ = run(capsys, *args.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+# sha256 of argparse's bytes at 80 columns, the same on CPython 3.10 to 3.13,
+# taken before well-formed argv stopped reaching the parser: help on stdout
+# with exit 0, usage errors on stderr with exit 2
+_PARSER_PINS = {
+    "--help": (0, "3a21ccc5f2825fd6e11169eb127964f2b6b54729c0ac64a023e85c831b99f56e"),
+    "gen --help": (0, "faf32a8658fb4c7f6666e6c61c0f4c3c2ac938615cc829269f75faca9271a16c"),
+    "solve --help": (0, "76cd7618b07f2bb507e6122ae29e8b2dbbf606f52444bd9b4043887b5b101bae"),
+    "verify --help": (0, "e48961b11a60a376557404d119d2dbfa3281b63908194b08ee1cdb85a2352d98"),
+    "solve 8 0 -1 -9 --count 3 --xbound 5":
+        (2, "1b3c57e6414a97681d548af6ccdb5f29441869cc1e1f1eb41d2a6f70780af7e6"),
+    "solve 8 0 -1 -9": (2, "cc78500d407fc64444e9ac7459414212577e45f5c282e09b7abeb0bf6d336a35"),
+    "verify teo1": (2, "dcbca85d1a32cf4f4911afceff9252e0e9132269e54688e94fe2583f5425c538"),
+    "solve 8 0 -1 -9 --count x":
+        (2, "d36ebbba86dc7dba72b691743aa19c89d03f75624666330de7957ffd727e852e"),
+    "gen B 0 4 --format xml": (2, "5f66d9ed07f398281c3f1d69fcf55d799f105d680d422ad9042dc673d5a7e9a6"),
+    "gen B 0 4 --bogus": (2, "e9eea9156cff75225d166ddf22be2287dc86d4521f871acf5912f7e75d66a9ca"),
+    "": (2, "c82f99cb40ac88c0c6d174b9d2b2ec13c492f1fcca0d01ad00f0f9788b9957a1"),
+    "gen B 0 4 5": (2, "5914ef2eb18102b6dade0e180ae3cb23a7145d76125b93af69e5e4b59df21050"),
+}
+
+
+@pytest.mark.parametrize("args", list(_PARSER_PINS))
+def test_help_and_usage_errors_keep_argparse_bytes(capsys, monkeypatch, args):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, digest = _PARSER_PINS[args]
+    with pytest.raises(SystemExit) as exc:
+        main(args.split())
+    out = capsys.readouterr()
+    printed, silent = (out.out, out.err) if code == 0 else (out.err, out.out)
+    assert (exc.value.code, silent) == (code, "")
+    assert hashlib.sha256(printed.encode()).hexdigest() == digest, printed
+
+
+# tokens argparse reads in ways a literal reading of the grammar could miss
+_TRICKY = ["--cou", "--count=3", "--", "-h", "", "+3", "1_0", " 7", "\u0663", "-\u0663",
+           "-5\n", "-1.5"]
+_MUTATIONS = ["none", "replace", "insert", "delete", "repeat", "options first"]
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A well-formed argv from the grammar, then one mutation: (mutation, argv)."""
+    command = draw(st.sampled_from(list(cli._GRAMMAR)))
+    _, _, arguments, _ = cli._GRAMMAR[command]
+    positionals = [kw for name, kw in arguments if name[0] != "-"]
+    options = [(name, kw) for name, kw in arguments if name[0] == "-"]
+    ints = st.integers(-99, 99).map(str)
+    argv = [command]
+    for keywords in positionals:
+        argv.append(draw(ints if "type" in keywords else st.sampled_from(["B", "teo1", "all", "-7"])))
+    for name, keywords in draw(st.lists(st.sampled_from(options), unique_by=lambda o: o[0])):
+        argv.append(name)
+        if "choices" in keywords:
+            argv.append(draw(st.sampled_from(keywords["choices"])))
+        elif "action" not in keywords:
+            argv.append(draw(ints))
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    i, token = draw(st.sampled_from(range(len(argv) + 1))), draw(st.sampled_from(_TRICKY))
+    if mutation == "replace":
+        argv[i:i + 1] = [token]
+    elif mutation == "insert":
+        argv.insert(i, token)
+    elif mutation == "delete":
+        del argv[i:i + 1]
+    elif mutation == "repeat":
+        argv += argv[i:i + 2]
+    elif mutation == "options first":
+        argv = argv[:1] + argv[1 + len(positionals):] + argv[1:1 + len(positionals)]
+    return mutation, argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_argvs())
+@example(("replace", ["gen", "-h", "0", "1"]))
+@example(("replace", ["verify", "--", "--upto", "3"]))
+@example(("repeat", ["solve", "1", "0", "-87", "-38286", "--count", "7", "--count", "7"]))
+@example(("delete", ["solve", "1", "0", "-87", "-38286"]))
+def test_fast_path_agrees_with_argparse(case):
+    mutation, argv = case
+    fast = cli._match(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            slow = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        slow = None
+    assert fast is None or vars(fast) == slow
+    # every well-formed argv that argparse takes is taken without it
+    assert mutation != "none" or (fast is None) == (slow is None)
+
+
+def test_fast_path_takes_every_ci_and_benchmark_argv(monkeypatch):
+    # a well-formed argv that falls through to argparse silently loses the gain
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    argvs = [args.split() for args, _ in ci_pins()]
+    argvs += [call for name in workloads.BUILDERS for seed in (1, 2, 3)
+              for kind, call, _ in workloads.build(name, seed) if kind == "cli"]
+    assert len(argvs) > 400
+    assert [argv for argv in argvs if cli._match(argv) is None] == []
