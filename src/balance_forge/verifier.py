@@ -2,14 +2,17 @@
 
 Every identity is evaluated in exact integer arithmetic on the recurrence
 route, for each index in range; a division that is not exact is a
-counterexample, not a crash.  A radical or a balancer takes its root from the
-witness column (``C``, ``c``, ``WITNESS_KIND``) if one squaring confirms it,
-else from the exact test.  Identities read the families only through
-``SequenceValues`` accessors (``S.B``, ``S.Bss``, ...) over five core
-columns, each compared with the closed-form route (powers of ``1 + sqrt(2)``)
-as it fills; a read from the first entry that differs on fails the check
-with a ``"route": "binet"`` counterexample.  Columns live for one
-``verify``, ``verify_group`` or ``verify_all`` call.
+counterexample, not a crash.  A catalog identity runs once per block of
+``_BLOCK`` indices on vectors (``_Idx``, ``_Vec``), and index by index from a
+block it does not decide to hold, so its report is unchanged.  A radical or a
+balancer takes its root from the witness column (``C``, ``c``,
+``WITNESS_KIND``) if one squaring confirms it, else from the exact test.
+Identities read the families only through ``SequenceValues`` accessors
+(``S.B``, ``S.Bss``, ...) over five core columns, each compared with the
+closed-form route (powers of ``1 + sqrt(2)``) as it fills; a read from the
+first entry that differs on fails the check with a ``"route": "binet"``
+counterexample.  Columns live for one ``verify``, ``verify_group`` or
+``verify_all`` call.
 
 Identity groups and entry counts (the auditable catalog):
 
@@ -36,8 +39,9 @@ Identity groups and entry counts (the auditable catalog):
 from __future__ import annotations
 
 from contextlib import suppress
-from functools import partial
-from itertools import islice
+from functools import partial, partialmethod
+from itertools import islice, repeat
+from operator import add, mul, sub
 from types import SimpleNamespace
 
 from .pellsolver import QuadraticForm, solutions
@@ -83,6 +87,12 @@ class _Column(dict):
         self.update(enumerate(ours, len(self)))
         return self[n]
 
+    def block(self, i: _Idx) -> _Vec:
+        """The entries at each index of ``i``, from those held: a block fills nothing."""
+        r = i.indices()
+        _need(r.start >= 0 and r.stop <= len(self))
+        return _Vec(list(map(self.__getitem__, r)))
+
 
 class SequenceValues:
     """Sequence accessor the catalog evaluates through.
@@ -96,7 +106,8 @@ class SequenceValues:
     ``verify*`` call builds checks its columns against the closed-form route
     as they fill (``_Column.oracle``).  ``overrides`` maps
     ``(kind, index)`` to an additive fault, used by sensitivity tests; a
-    fault changes only the faulted family, never the columns.
+    fault changes only the faulted family, never the columns.  ``_blocks``
+    holds the accessors of an ``_Idx``, each fault applied at its index.
     """
 
     def __init__(self, route: str = "recurrence", overrides=None):
@@ -109,17 +120,101 @@ class SequenceValues:
         # the instance frees the columns at once
         self._columns = {k: _Column(k, source(k)) for k in CORE_KINDS}
         core = SimpleNamespace(**{k.value: c.__getitem__ for k, c in self._columns.items()})
+        blocks = SimpleNamespace(**{k.value: c.block for k, c in self._columns.items()})
+        self._blocks = SimpleNamespace()
         for kind in SequenceKind:
-            exact = getattr(core, kind.value, None) or partial(_DERIVED[kind], core)
             faults = {n: d for (k, n), d in self.overrides.items() if k is kind}
-            setattr(self, kind.value, _faulted(exact, faults) if faults else exact)
+            for view, reads in ((self, core), (self._blocks, blocks)):
+                exact = getattr(reads, kind.value, None) or partial(_DERIVED[kind], reads)
+                setattr(view, kind.value, _faulted(exact, faults) if faults else exact)
 
     def value(self, kind: SequenceKind, n: int) -> int:
         return getattr(self, kind.value)(n)
 
 
 def _faulted(exact, faults):
-    return lambda n: exact(n) + faults.get(n, 0)
+    return lambda n: exact(n) + (
+        _Vec([faults.get(i, 0) for i in n.indices()]) if type(n) is _Idx else faults.get(n, 0))
+
+
+class _Undecided(Exception):
+    """A block a check does not decide at once; it is then evaluated index by index."""
+
+
+def _undecided(*args):
+    raise _Undecided
+
+
+def _need(ok: bool) -> None:
+    if not ok:
+        raise _Undecided
+
+
+class _Idx:
+    """The indices ``a*n + b``, ``n = lo .. hi`` (``a >= 1``): a check's argument for a block.
+
+    ``+``, ``-`` and ``*`` by an int stay affine; ``% k`` and ``// k`` are decided where ``k``
+    divides ``a``, ``< k`` and ``bool()`` from the least index; the rest raises ``_Undecided``.
+    """
+
+    __slots__ = ("a", "b", "lo", "hi")
+
+    def __init__(self, a: int, b: int, lo: int, hi: int):
+        self.a, self.b, self.lo, self.hi = a, b, lo, hi
+
+    def indices(self) -> range:
+        return range(self.a * self.lo + self.b, self.a * self.hi + self.b + 1, self.a)
+
+    def __add__(self, k):
+        return _Idx(self.a, self.b + k, self.lo, self.hi)
+
+    def __sub__(self, k):
+        return _Idx(self.a, self.b - k, self.lo, self.hi)
+
+    def __mul__(self, k):
+        _need(k > 0)
+        return _Idx(self.a * k, self.b * k, self.lo, self.hi)
+
+    def __mod__(self, k):
+        _need(k > 0 and self.a % k == 0)
+        return self.b % k
+
+    def __floordiv__(self, k):
+        _need(k > 0 and self.a % k == 0)
+        return _Idx(self.a // k, self.b // k, self.lo, self.hi)
+
+    def __lt__(self, k):  # False at every index, else undecided
+        _need(self.a * self.lo + self.b >= k)
+        return False
+
+    def __bool__(self):
+        return not self < 1
+
+    __radd__, __rmul__ = __add__, __mul__
+    __eq__ = __hash__ = __index__ = __neg__ = __le__ = __gt__ = __ge__ = _undecided
+
+
+class _Vec:
+    """An expression's values at each index of an ``_Idx``, in the list ``v``: ``+``, ``-``,
+    ``*`` and ``**`` by an int or a vector act element by element, and ``==`` is all-equal."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: list):
+        self.v = v
+
+    def _map(self, op, other, flip=False):
+        w = other.v if type(other) is _Vec else repeat(other)
+        return _Vec(list(map(op, w, self.v) if flip else map(op, self.v, w)))
+
+    def __eq__(self, other):
+        return type(other) is _Vec and self.v == other.v
+
+    __add__ = __radd__ = partialmethod(_map, add)
+    __sub__, __rsub__ = partialmethod(_map, sub), partialmethod(_map, sub, flip=True)
+    __mul__ = __rmul__ = partialmethod(_map, mul)
+    __pow__, __neg__ = partialmethod(_map, pow), partialmethod(_map, mul, -1)
+    __bool__ = __hash__ = __index__ = __lt__ = __le__ = __gt__ = __ge__ = _undecided
 
 
 class _Inexact(Exception):
@@ -127,6 +222,10 @@ class _Inexact(Exception):
 
 
 def _xdiv(a: int, b: int) -> int:
+    if type(a) is _Vec:  # exact at every index, else undecided
+        q, r = zip(*a._map(divmod, b).v)
+        _need(not any(r))
+        return _Vec(list(q))
     q, r = divmod(a, b)
     if r:
         raise _Inexact(f"{a} is not divisible by {b}")
@@ -134,6 +233,9 @@ def _xdiv(a: int, b: int) -> int:
 
 
 def _xsqrt(x: int, hint: int) -> int:
+    if type(x) is _Vec:  # every hint confirmed by its squaring, else undecided
+        _need(type(hint) is _Vec and all(h >= 0 for h in hint.v) and hint * hint == x)
+        return hint
     if hint >= 0 and hint * hint == x:
         return hint
     if x < 0:
@@ -363,13 +465,16 @@ def _checked(values):
     return values
 
 
+_BLOCK = 512  # indices per block of a catalog check: bounds the vectors it holds
+
+
 def _run_check(check: IdentityCheck, n_max: int, S: SequenceValues) -> VerificationReport:
     fail = partial(VerificationReport, check.id, check.start, n_max, "fail")
     try:
         if n_max >= check.start:
             with suppress(_Inexact):
                 check.fn(S, n_max)  # fills each column at once: every catalog index grows with n
-        for n in range(check.start, n_max + 1):
+        for n in range(_blocks_hold(check, n_max, S._blocks), n_max + 1):
             try:
                 lhs, rhs = check.fn(S, n)
             except _Inexact as exc:
@@ -380,6 +485,17 @@ def _run_check(check: IdentityCheck, n_max: int, S: SequenceValues) -> Verificat
     except _RoutesDiffer as exc:
         return fail(exc.args[0])
     return VerificationReport(check.id, check.start, n_max, "pass")
+
+
+def _blocks_hold(check: IdentityCheck, n_max: int, blocks) -> int:
+    """The first index of the first block not decided to hold, else ``n_max + 1``."""
+    for lo in range(check.start, n_max + 1, _BLOCK):
+        with suppress(_Undecided):
+            lhs, rhs = check.fn(blocks, _Idx(1, 0, lo, min(lo + _BLOCK - 1, n_max)))
+            if lhs == rhs:
+                continue
+        return lo
+    return n_max + 1
 
 
 def _json_value(v):

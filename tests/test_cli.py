@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -354,14 +355,20 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
         built.append(1)
         return build()
 
-    monkeypatch.setattr(cli, "build_parser", counted)
+    # main reads the parser through cli._parser, a cache of build_parser
+    monkeypatch.setattr(cli, "_parser", functools.cache(counted))
     assert run(capsys, "gen", "B", "0", "1") == (0, "0\n1\n", "")
     # the variable is read on every call, not when the parser was built
     monkeypatch.setenv("BALANCE_FORGE_FORMAT", "jsonl")
     code, out, _ = run(capsys, "gen", "B", "0", "1")
     assert code == 0
     assert [json.loads(line)["value"] for line in out.splitlines()] == [0, 1]
-    assert len(built) <= 1
+    assert built == []  # a well-formed argv never builds the parser
+    for argv in (["gen", "--help"], ["gen", "--bogus"]) * 2:
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == [1]
 
 
 @pytest.mark.parametrize("command", ["gen", "solve", "verify"])

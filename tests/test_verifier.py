@@ -367,18 +367,31 @@ def closed_form_reads(monkeypatch):
     return reads
 
 
-@pytest.mark.parametrize("id", sorted(LARGEST_READS))
-def test_each_identity_is_evaluated_once(monkeypatch, built, closed_form_reads, id):
-    check = verifier._CHECK_BY_ID[id]
+def _recorded(monkeypatch, check):
+    """What ``verify`` calls ``check.fn`` with: an int, or ``(a, b, lo, hi)`` of a block."""
     calls = []
 
-    def counted_fn(S, n):
-        calls.append(n)
+    def recorded_fn(S, n):
+        block = isinstance(n, verifier._Idx)
+        calls.append((n.a, n.b, n.lo, n.hi) if block else n)
         return check.fn(S, n)
 
-    monkeypatch.setitem(verifier._CHECK_BY_ID, id, check._replace(fn=counted_fn))
+    monkeypatch.setitem(verifier._CHECK_BY_ID, check.id, check._replace(fn=recorded_fn))
+    return calls
+
+
+def _blocks(start, n_max):
+    size = verifier._BLOCK
+    return [(1, 0, lo, min(lo + size - 1, n_max)) for lo in range(start, n_max + 1, size)]
+
+
+@pytest.mark.parametrize("id", sorted(LARGEST_READS))
+def test_each_identity_is_evaluated_once(monkeypatch, built, closed_form_reads, id):
+    # one probe at the top of the range, then one call per block of indices
+    check = verifier._CHECK_BY_ID[id]
+    calls = _recorded(monkeypatch, check)
     assert verify(id, 200).passed
-    assert 200 - check.start + 1 <= len(calls) <= 200 - check.start + 2
+    assert calls == [200, *_blocks(check.start, 200)]
     assert [S.route for S in built] == ["recurrence"]
     expected = {kind: LARGEST_READS[id].get(kind, -1) + 1 for kind in sequences.CORE_KINDS}
     assert {kind: len(column) for kind, column in built[0]._columns.items()} == expected
@@ -492,3 +505,117 @@ def test_radicals_read_the_witness_column(monkeypatch):
         monkeypatch.setattr(verifier, name, lambda *args: calls.append(args))
     assert all(r.passed for r in verify_group("baa12", 300) + verify_group("interlock", 300))
     assert calls == []
+
+
+def _per_index(check, n_max, S):
+    """The report of the plain loop: ``check.fn(S, n)`` at each ``n``, in order."""
+    for n in range(check.start, n_max + 1):
+        try:
+            lhs, rhs = check.fn(S, n)
+        except verifier._Inexact as exc:
+            counterexample = {"n": n, "reason": str(exc), "route": S.route}
+            break
+        if lhs != rhs:
+            counterexample = {"n": n, "lhs": _listed(lhs), "rhs": _listed(rhs), "route": S.route}
+            break
+    else:
+        return VerificationReport(check.id, check.start, n_max, "pass")
+    return VerificationReport(check.id, check.start, n_max, "fail", counterexample)
+
+
+def _listed(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 1023, 1024, 1025, 2100])
+def test_blocks_report_as_the_per_index_loop(n_max):
+    reference = SequenceValues()
+    for check in CATALOG:
+        assert verify(check.id, n_max) == _per_index(check, n_max, reference), check.id
+
+
+# a fault near the start, at the last and the first index of a block, and
+# inside a later block, in core, derived and interleaved kinds
+@pytest.mark.parametrize("index", [3, 1024, 1025, 1500])
+@pytest.mark.parametrize("kind", [K.B, K.P, K.Bstarstar, K.bstar, K.cstarstar],
+                         ids=lambda k: k.value)
+def test_faulted_blocks_report_as_the_per_index_loop(kind, index):
+    bad = SequenceValues(overrides={(kind, index): 1})
+    reports = [verify(check.id, 1600, values=bad) for check in CATALOG]
+    assert reports == [_per_index(check, 1600, bad) for check in CATALOG]
+    assert not all(report.passed for report in reports)
+
+
+def test_every_identity_holds_by_blocks_alone(monkeypatch):
+    # on correct columns no catalog identity falls back to the per-index loop
+    for check in CATALOG:
+        calls = _recorded(monkeypatch, check)
+        assert verify(check.id, 2100).passed
+        assert calls == [2100, *_blocks(check.start, 2100)], check.id
+
+
+def test_an_undecided_block_falls_back_to_the_per_index_loop(monkeypatch):
+    # Bss read at a stride of 1 mixes both parities in a block; its
+    # recurrence holds, index by index, from the first block on
+    check = verifier.IdentityCheck(
+        "synthetic.Bss", 1, lambda S, n: (S.Bss(n + 4), 6 * S.Bss(n + 2) - S.Bss(n)))
+    monkeypatch.setitem(verifier._CHECK_BY_ID, check.id, check)
+    calls = _recorded(monkeypatch, check)
+    assert verify(check.id, 700).passed
+    assert calls == [700, _blocks(1, 700)[0], *range(1, 701)]
+
+
+def _undecided(operation):
+    with pytest.raises(verifier._Undecided):
+        operation()
+
+
+def test_index_operations_decided_or_undecided():
+    Idx, Vec = verifier._Idx, verifier._Vec
+    odd, every = Idx(2, -1, 1, 8), Idx(1, 0, 1, 8)
+    assert odd % 2 == 1 and ((odd + 1) // 2 - 1).indices() == range(0, 8)
+    assert (3 * every + 2).indices() == range(5, 27, 3)
+    assert (every < 0, every < 1, bool(every)) == (False, False, True)
+    for operation in (
+        lambda: every % 2,  # mixed parity
+        lambda: every // 2,
+        lambda: every < 2,  # true at the least index only
+        lambda: bool(every - 1),  # 0 at the least index
+        lambda: every * -1,
+        lambda: every * 0,
+        lambda: hash(every),
+        lambda: every == every,
+        lambda: [0][every],  # __index__
+        lambda: {}.get(every, 0),
+        lambda: bool(Vec([1, 1])),
+        lambda: hash(Vec([1])),
+        lambda: Vec([1, 2]) < 3,
+        lambda: verifier._xdiv(Vec([4, 6, 7]), 2),  # not exact at one index
+        lambda: verifier._xsqrt(Vec([4, 9]), Vec([2, -3])),  # a negative hint
+        lambda: verifier._xsqrt(Vec([4, 10]), Vec([2, 3])),  # not a square
+        lambda: SequenceValues()._blocks.B(every - 2),  # a negative index
+        lambda: SequenceValues()._blocks.B(every),  # an entry the column does not hold
+    ):
+        _undecided(operation)
+
+
+def test_vector_arithmetic_is_element_by_element():
+    Vec = verifier._Vec
+    u, w = Vec([1, -2, 3]), Vec([4, 5, 6])
+    assert (u + w).v == [5, 3, 9] and (u - w).v == [-3, -7, -3] and (u * w).v == [4, -10, 18]
+    assert (2 - u).v == [1, 4, -1] and (-u).v == [-1, 2, -3] and (u ** 2).v == [1, 4, 9]
+    assert (3 * u + 1).v == [4, -5, 10] and (u ** w).v == [1, -32, 729]
+    assert u == Vec([1, -2, 3]) and u != w and u != 1
+    assert verifier._xdiv(Vec([4, -6]), 2).v == [2, -3]
+    hint = Vec([2, 3])
+    assert verifier._xsqrt(Vec([4, 9]), hint) is hint
+
+
+def test_block_accessors_apply_each_fault_at_its_index():
+    S = SequenceValues(overrides={(K.P, 5): 1, (K.Bstarstar, 6): -2, (K.cstarstar, 2): 4})
+    for name in KIND_BY_NAME:
+        getattr(S, name)(40)
+    for name, index in (("P", verifier._Idx(1, 0, 1, 20)), ("Bss", verifier._Idx(2, 0, 1, 10)),
+                        ("css", verifier._Idx(1, 0, 1, 20)), ("Cs", verifier._Idx(2, 1, 0, 9))):
+        assert getattr(S._blocks, name)(index).v == [
+            getattr(S, name)(i) for i in index.indices()], name
