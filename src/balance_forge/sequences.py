@@ -280,7 +280,7 @@ def is_member(kind: SequenceKind, x: int) -> tuple[bool, int | None]:
         raise ValueError("no membership criterion")
     s, t = row[0]
     r = x % SQUARE_RESIDUE_MODULUS  # most non-members fail on residues alone
-    if not square_residue(8 * r * (r + s) + t) or (rad := _radicand(x, s, t)) < 0:
+    if not square_residue(8 * r * (r + s) + t) or (rad := (x * x << 3) + (s * x << 3) + t) < 0:
         return False, None
     bits = (rad.bit_length() + 1) // 2  # of isqrt(rad)
     if bits > DEEP_ROOT_BITS:
@@ -296,26 +296,12 @@ def is_member(kind: SequenceKind, x: int) -> tuple[bool, int | None]:
     return is_perfect_square(rad)
 
 
-def _radicand(x: int, s: int, t: int) -> int:
-    return (x * x << 3) + (s * x << 3) + t  # 8x^2 + 8sx + t
-
-
 def balancer(kind: BalancerKind, n: int) -> int:
     """The gap length ``r`` for a member ``n``: ``(-2n - 1 + root) / 2``."""
-    return _gap(kind, n)
-
-
-def _gap(kind: BalancerKind, x: int, root: int | None = None) -> int | None:
-    """``balancer(kind, x)``.  A ``root`` given replaces ``is_member``'s ``isqrt`` if one
-    squaring confirms it, and the result is None if it does not."""
-    member = _MEMBER_OF_BALANCER[kind]
-    if root is None:
-        ok, root = is_member(member, x)
-        if not ok:
-            raise ValueError("not a member")
-    elif x < 0 or root < 0 or root * root != _radicand(x, *_MEMBERSHIP[member][0]):
-        return None
-    num = -2 * x - 1 + root
+    ok, root = is_member(_MEMBER_OF_BALANCER[kind], n)
+    if not ok:
+        raise ValueError("not a member")
+    num = -2 * n - 1 + root
     if num % 2:
         raise ValueError("parity violation")
     return num // 2

@@ -4,9 +4,10 @@ Every identity is evaluated in exact integer arithmetic on the recurrence
 route, for each index in range; a division that is not exact is a
 counterexample, not a crash.  A catalog identity runs once per block of
 ``_BLOCK`` indices on vectors (``_Idx``, ``_Vec``), and index by index from a
-block it does not decide to hold, so its report is unchanged.  A radical or a
-balancer takes its root from the witness column (``C``, ``c``,
-``WITNESS_KIND``) if one squaring confirms it, else from the exact test.
+block it does not decide to hold, so its report is unchanged.  Every radical
+and balancer root, in ``baa12`` and ``interlock`` alike, comes from one
+``_xsqrt``: the witness read (``C``, ``c``, ``WITNESS_KIND``) if one squaring
+confirms it, else the exact test.
 Identities read the families only through ``SequenceValues`` accessors
 (``S.B``, ``S.Bss``, ...) over five core columns, each compared with the
 closed-form route (powers of ``1 + sqrt(2)``) as it fills; a read from the
@@ -46,9 +47,9 @@ from types import SimpleNamespace
 
 from .pellsolver import QuadraticForm, solutions
 from .quadarith import is_perfect_square, record
-# term and term_binet stay module globals: perfbench's tracer wraps them here
+# balancer, term and term_binet stay module globals: perfbench's tracer wraps them here
 from .sequences import (  # noqa: F401
-    CORE_KINDS, _DERIVED, BalancerKind, SequenceKind, _gap, balancer, closed_form_terms, term,
+    CORE_KINDS, _DERIVED, _MEMBERSHIP, SequenceKind, balancer, closed_form_terms, term,
     term_binet, terms,
 )
 
@@ -57,7 +58,7 @@ _ROUTES = {"recurrence": terms, "binet": closed_form_terms}
 
 
 class _RoutesDiffer(Exception):
-    """A read from a column's first differing entry; not a ValueError, which candidates catch."""
+    """A read from a column's first differing entry: it fails the whole report, not one index."""
 
 
 class _Column(dict):
@@ -372,21 +373,15 @@ CATALOG: list[IdentityCheck] = [
 ]
 
 
-def _witnessed(kind: BalancerKind, x: int, root: int) -> int:
-    gap = _gap(kind, x, root)
-    return balancer(kind, x) if gap is None else gap
+def _gap(S: SequenceValues, member: str, witness: str, s: int, t: int, k: int) -> int:
+    """The almost (co)balancer ``(-2x - 1 + root) / 2`` of the member ``x`` read at ``k``.
 
-
-def _almost_balancer(S: SequenceValues, first_type: bool, k: int) -> int:
-    if first_type:
-        return _witnessed(BalancerKind.Rstar, S.Bs(k), S.Cs(k))
-    return _witnessed(BalancerKind.Rstarstar, S.Bss(k), S.Css(k))
-
-
-def _almost_cobalancer(S: SequenceValues, first_type: bool, k: int) -> int:
-    if first_type:
-        return _witnessed(BalancerKind.rstar, S.bs(k), S.cs(k))
-    return _witnessed(BalancerKind.rstarstar, S.bss(k), S.css(k))
+    ``root`` squares to ``8x^2 + 8sx + t``; a negative ``x`` is no member, undecided on a vector.
+    """
+    x = getattr(S, member)(k)
+    if x < 0:
+        raise _Inexact(f"{x} is negative, no member")
+    return _xdiv(-2 * x - 1 + _xsqrt(8 * (x * x + s * x) + t, getattr(S, witness)(k)), 2)
 
 
 class CandidateIdentity(record("CandidateIdentity", "id start lhs candidates")):
@@ -397,25 +392,25 @@ class CandidateIdentity(record("CandidateIdentity", "id start lhs candidates")):
     __slots__ = ()
 
 
-def _pairings(fn):
-    """The four type/index pairings of a balancer-style right-hand side."""
+def _pairings(name: str, first: SequenceKind, second: SequenceKind):
+    """The six labelled pairings: the ``first`` or ``second`` type member read at n+0, 1 or 2."""
     return tuple(
-        (f"{fn.__name__.lstrip('_')}({kind}, n+{off})",
-         (lambda first, o: lambda S, n: fn(S, first, n + o))(kind == "first", off))
-        for kind in ("first", "second")
-        for off in (0, 1, 2)
+        (f"{name}({label}, n+{o})",
+         lambda S, n, m=kind.value, w=witness.value, s=s, t=t, o=o: _gap(S, m, w, s, t, n + o))
+        for label, kind in (("first", first), ("second", second))
+        for (s, t), witness, _ in (_MEMBERSHIP[kind],)
+        for o in (0, 1, 2)
     )
 
 
+_COBALANCERS = _pairings("almost_cobalancer", SequenceKind.bstar, SequenceKind.bstarstar)
+_BALANCERS = _pairings("almost_balancer", SequenceKind.Bstar, SequenceKind.Bstarstar)
+
 INTERLOCK: list[CandidateIdentity] = [
-    CandidateIdentity("interlock.Bstar", 1, lambda S, n: S.Bs(n),
-                      _pairings(_almost_cobalancer)),
-    CandidateIdentity("interlock.Bstarstar", 1, lambda S, n: S.Bss(n),
-                      _pairings(_almost_cobalancer)),
-    CandidateIdentity("interlock.bstar", 1, lambda S, n: S.bs(n),
-                      _pairings(_almost_balancer)),
-    CandidateIdentity("interlock.bstarstar", 1, lambda S, n: S.bss(n),
-                      _pairings(_almost_balancer)),
+    CandidateIdentity("interlock.Bstar", 1, lambda S, n: S.Bs(n), _COBALANCERS),
+    CandidateIdentity("interlock.Bstarstar", 1, lambda S, n: S.Bss(n), _COBALANCERS),
+    CandidateIdentity("interlock.bstar", 1, lambda S, n: S.bs(n), _BALANCERS),
+    CandidateIdentity("interlock.bstarstar", 1, lambda S, n: S.bss(n), _BALANCERS),
 ]
 
 CATALOG_COUNTS = {
@@ -506,7 +501,7 @@ def _run_candidate(cand: CandidateIdentity, n_max: int, S: SequenceValues) -> Ve
     survivors, (first, _) = list(cand.candidates), cand.candidates[0]
     try:
         for fn in (cand.lhs, *(fn for _, fn in reversed(survivors))):  # fill, top index first
-            with suppress(ValueError):
+            with suppress(_Inexact):
                 fn(S, n_max)
         for n in range(cand.start, n_max + 1):
             lhs = cand.lhs(S, n)
@@ -514,7 +509,7 @@ def _run_candidate(cand: CandidateIdentity, n_max: int, S: SequenceValues) -> Ve
             for label, fn in survivors:
                 try:
                     rhs = fn(S, n)
-                except ValueError:
+                except _Inexact:
                     rhs = None
                 if rhs == lhs:
                     still.append((label, fn))

@@ -56,6 +56,16 @@ def test_gen_prints_values_past_the_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_main_runs_without_a_digit_limit(capsys, monkeypatch):
+    # CPython before 3.10.7 has no sys.set_int_max_str_digits; main prints the same there
+    monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
+    argvs = [("gen", "B", "0", "4"), ("verify", "teo2", "--upto", "5")]
+    expected = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+    assert expected[0] == (0, "0\n1\n6\n35\n204\n", "") and expected[1][0] == 0
+
+
 def test_gen_empty_range(capsys):
     code, _, err = run(capsys, "gen", "B", "3", "2")
     assert code == 2
@@ -401,7 +411,7 @@ def test_ci_smoke_pins_hold_in_process(capsys, monkeypatch):
     # the workflow file stays the one record of these digests
     monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
     pins = ci_pins()
-    assert len(pins) == 25
+    assert len(pins) == 27
     for args, digest in pins:
         code, out, _ = run(capsys, *args.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, args

@@ -601,6 +601,15 @@ def test_strong_lucas_passes_the_primes_and_its_pseudoprimes():
     assert not pellsolver._strong_lucas((2**64 + 13) ** 2)
 
 
+def test_is_prime_agrees_with_a_sieve_below_2000():
+    # the witnesses themselves are prime by lookup, not by Miller-Rabin
+    sieve = bytearray([0, 0]) + bytearray([1]) * 1998
+    for p in range(2, 45):
+        sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+    assert [n for n in range(2000) if pellsolver._is_prime(n)] == [
+        n for n in range(2000) if sieve[n]]
+
+
 def test_is_prime_matches_sympy_above_psi_13():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(0xB95)

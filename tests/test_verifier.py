@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from balance_forge import sequences, verifier
-from balance_forge.sequences import KIND_BY_NAME, SequenceKind, term
+from balance_forge.sequences import KIND_BY_NAME, BalancerKind, SequenceKind, balancer, term
 from balance_forge.verifier import (
     CATALOG,
     CATALOG_COUNTS,
@@ -110,13 +110,17 @@ def test_solution_set_first_values():
 
 
 def test_interlock_pairings_recorded():
-    notes = {r.id: r.note for r in verify_group("interlock", 60)}
-    assert notes == {
-        "interlock.Bstar": "holds as almost_cobalancer(second, n+1)",
-        "interlock.Bstarstar": "holds as almost_cobalancer(first, n+0)",
-        "interlock.bstar": "holds as almost_balancer(second, n+2)",
-        "interlock.bstarstar": "holds as almost_balancer(first, n+0)",
-    }
+    # at n = 1 alone the two lower-case ids hold under two pairings each
+    first, second = "almost_balancer(first, n+0)", "almost_balancer(second, n+2)"
+    for n_max in (1, 2, 60):
+        both = f"{first}, {second}" if n_max == 1 else None
+        notes = {r.id: r.note for r in verify_group("interlock", n_max)}
+        assert notes == {
+            "interlock.Bstar": "holds as almost_cobalancer(second, n+1)",
+            "interlock.Bstarstar": "holds as almost_cobalancer(first, n+0)",
+            "interlock.bstar": f"holds as {both or second}",
+            "interlock.bstarstar": f"holds as {both or first}",
+        }, n_max
 
 
 def test_rejected_conversion_variant_fails():
@@ -505,6 +509,47 @@ def test_radicals_read_the_witness_column(monkeypatch):
         monkeypatch.setattr(verifier, name, lambda *args: calls.append(args))
     assert all(r.passed for r in verify_group("baa12", 300) + verify_group("interlock", 300))
     assert calls == []
+
+
+# pairing label -> (member kind, its balancer kind, s of its radicand 8x^2 + 8sx + t,
+# offset of the member read)
+_PAIRINGS = {
+    f"almost_{name}({label}, n+{o})": (kind, balancer_kind, s, o)
+    for name, s, kinds in (
+        ("balancer", 0, ((K.Bstar, BalancerKind.Rstar), (K.Bstarstar, BalancerKind.Rstarstar))),
+        ("cobalancer", 1, ((K.bstar, BalancerKind.rstar), (K.bstarstar, BalancerKind.rstarstar))))
+    for label, (kind, balancer_kind) in zip(("first", "second"), kinds)
+    for o in (0, 1, 2)
+}
+
+
+def _refused(fn, *args, refusal):
+    try:
+        return fn(*args)
+    except refusal:
+        return "refused"
+
+
+def test_interlock_offers_every_pairing():
+    assert {label for cand in INTERLOCK for label, _ in cand.candidates} == set(_PAIRINGS)
+
+
+@pytest.mark.parametrize("label", list(_PAIRINGS))
+def test_pairing_agrees_with_balancer(label):
+    # a pairing reads its member at n + offset and gives what public balancer
+    # gives for that value, also for a faulty one, or both refuse it; -x - s
+    # has the radicand of x, so the witness read squares to it
+    kind, balancer_kind, s, o = _PAIRINGS[label]
+    rhs = next(fn for cand in INTERLOCK for name, fn in cand.candidates if name == label)
+    exact = SequenceValues()
+    for k in range(1, 41):
+        x = term(kind, k + o)
+        assert rhs(exact, k) == balancer(balancer_kind, x), k
+        for delta in (1, -x, -2 * x - s):
+            faulty = SequenceValues(overrides={(kind, k + o): delta})
+            got = _refused(rhs, faulty, k, refusal=verifier._Inexact)
+            assert got == _refused(balancer, balancer_kind, x + delta, refusal=ValueError), (
+                k, delta)
 
 
 def _per_index(check, n_max, S):
