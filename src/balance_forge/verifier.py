@@ -9,11 +9,11 @@ and balancer root, in ``baa12`` and ``interlock`` alike, comes from one
 ``_xsqrt``: the witness read (``C``, ``c``, ``WITNESS_KIND``) if one squaring
 confirms it, else the exact test.
 Identities read the families only through ``SequenceValues`` accessors
-(``S.B``, ``S.Bss``, ...) over five core columns, each compared with the
-closed-form route (powers of ``1 + sqrt(2)``) as it fills; a read from the
-first entry that differs on fails the check with a ``"route": "binet"``
-counterexample.  Columns live for one ``verify``, ``verify_group`` or
-``verify_all`` call.
+(``S.B``, ``S.Bss``, ...) over five core columns: lists that a fill extends
+and a block reads as a slice, each compared with the closed-form route
+(powers of ``1 + sqrt(2)``) as it fills; a read from the first entry that
+differs on fails the check with a ``"route": "binet"`` counterexample.
+Columns live for one ``verify``, ``verify_group`` or ``verify_all`` call.
 
 Identity groups and entry counts (the auditable catalog):
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 from contextlib import suppress
 from functools import partial, partialmethod
 from itertools import islice, repeat
-from operator import add, mul, sub
+from operator import add, mul, rshift, sub
 from types import SimpleNamespace
 
 from .pellsolver import QuadraticForm, solutions
@@ -61,22 +61,28 @@ class _RoutesDiffer(Exception):
     """A read from a column's first differing entry: it fails the whole report, not one index."""
 
 
-class _Column(dict):
-    """``n -> v(n)`` read from an iterator of ``v(0), v(1), ...``.
+class _Column(list):
+    """``v(0), v(1), ...`` in one list, taken from an iterator of them as far as read.
 
-    A miss fills the column up to ``n``, so the hot path is a plain dict
-    lookup; a negative index is a miss that raises.  With ``oracle`` set, a
+    ``read(n)`` past the end fills the column up to ``n`` with one ``extend``;
+    a negative index raises.  ``block`` reads a slice.  With ``oracle`` set, a
     fill takes as many entries of it and compares the two lists; the column
-    stores none from the first that differs on, and later misses raise.
+    stores none from the first that differs on, and a read from there raises.
     """
 
     def __init__(self, kind, values):
         super().__init__()
         self.kind, self.values, self.oracle, self.differs = kind, values, None, False
 
-    def __missing__(self, n):
+    def read(self, n):
         if n < 0:
             raise ValueError("undefined index")
+        try:
+            return self[n]
+        except IndexError:
+            return self.fill(n)
+
+    def fill(self, n):
         if self.differs:
             i = len(self)
             raise _RoutesDiffer({"n": i, "reason": f"{self.kind.value}({i}) differs between routes",
@@ -85,14 +91,14 @@ class _Column(dict):
         if self.oracle is not None and ours != (theirs := list(islice(self.oracle, len(ours)))):
             self.differs = True
             del ours[next(i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b):]
-        self.update(enumerate(ours, len(self)))
-        return self[n]
+        self.extend(ours)
+        return self.read(n)
 
     def block(self, i: _Idx) -> _Vec:
         """The entries at each index of ``i``, from those held: a block fills nothing."""
         r = i.indices()
         _need(r.start >= 0 and r.stop <= len(self))
-        return _Vec(list(map(self.__getitem__, r)))
+        return _Vec(self[r.start:r.stop:r.step])
 
 
 class SequenceValues:
@@ -102,8 +108,9 @@ class SequenceValues:
     bound at construction.  ``route`` selects how the core families are
     computed: ``"recurrence"`` steps their recurrences, ``"binet"`` reads
     successive powers of ``1 + sqrt(2)``.  Each instance keeps its own core
-    columns, grown on demand and freed with the instance; the other families
-    are evaluated from them by their general terms.  Only the instance a
+    columns: lists that a read past the end extends and a block reads as a
+    slice, freed with the instance; the other families are evaluated from
+    them by their general terms.  Only the instance a
     ``verify*`` call builds checks its columns against the closed-form route
     as they fill (``_Column.oracle``).  ``overrides`` maps
     ``(kind, index)`` to an additive fault, used by sensitivity tests; a
@@ -120,7 +127,7 @@ class SequenceValues:
         # the accessors hold the columns, never the instance, so dropping
         # the instance frees the columns at once
         self._columns = {k: _Column(k, source(k)) for k in CORE_KINDS}
-        core = SimpleNamespace(**{k.value: c.__getitem__ for k, c in self._columns.items()})
+        core = SimpleNamespace(**{k.value: c.read for k, c in self._columns.items()})
         blocks = SimpleNamespace(**{k.value: c.block for k, c in self._columns.items()})
         self._blocks = SimpleNamespace()
         for kind in SequenceKind:
@@ -224,6 +231,9 @@ class _Inexact(Exception):
 
 def _xdiv(a: int, b: int) -> int:
     if type(a) is _Vec:  # exact at every index, else undecided
+        if b == 2:  # >> 1 floors as divmod does, without building the pairs
+            _need(not any(x & 1 for x in a.v))
+            return a._map(rshift, 1)
         q, r = zip(*a._map(divmod, b).v)
         _need(not any(r))
         return _Vec(list(q))

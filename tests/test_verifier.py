@@ -4,6 +4,7 @@ import math
 import weakref
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from balance_forge import sequences, verifier
 from balance_forge.sequences import KIND_BY_NAME, BalancerKind, SequenceKind, balancer, term
@@ -435,9 +436,9 @@ def test_interlock_fills_each_column_at_once(monkeypatch, id):
     # ascending scan, which then only reads them; so do the solution sets
     # of teo1 and teo3, at the top of their count
     fills = []
-    missing = verifier._Column.__missing__
-    monkeypatch.setattr(verifier._Column, "__missing__",
-                        lambda column, n: fills.append(n) or missing(column, n))
+    fill = verifier._Column.fill
+    monkeypatch.setattr(verifier._Column, "fill",
+                        lambda column, n: fills.append(n) or fill(column, n))
     reports = verify_group(id, 1000, 50) if id in GROUPS else [verify(id, 1000)]
     assert all(report.passed for report in reports)
     assert len(fills) <= 10
@@ -503,10 +504,9 @@ def test_faulty_member_fails_as_the_exact_root_does(id, fault, counterexample):
 
 def test_radicals_read_the_witness_column(monkeypatch):
     # every root of baa12 and interlock is a witness read, confirmed by one
-    # squaring; neither the exact square test nor balancer runs
+    # squaring; the exact square test never runs
     calls = []
-    for name in ("is_perfect_square", "balancer"):
-        monkeypatch.setattr(verifier, name, lambda *args: calls.append(args))
+    monkeypatch.setattr(verifier, "is_perfect_square", lambda *args: calls.append(args))
     assert all(r.passed for r in verify_group("baa12", 300) + verify_group("interlock", 300))
     assert calls == []
 
@@ -654,6 +654,56 @@ def test_vector_arithmetic_is_element_by_element():
     assert verifier._xdiv(Vec([4, -6]), 2).v == [2, -3]
     hint = Vec([2, 3])
     assert verifier._xsqrt(Vec([4, 9]), hint) is hint
+
+
+@pytest.mark.parametrize("name", list(KIND_BY_NAME))
+def test_an_empty_column_rejects_index_minus_one(name):
+    # a miss must not fill towards a negative index
+    with pytest.raises(ValueError, match="undefined index"):
+        getattr(SequenceValues(), name)(-1)
+
+
+def test_a_block_reads_held_entries_and_fills_nothing():
+    Idx, S = verifier._Idx, SequenceValues()
+    S.C(20)
+    assert S._blocks.C(Idx(1, 0, 0, 20)).v == [S.C(n) for n in range(21)]
+    for index in (Idx(1, 0, 0, 21), Idx(1, 0, 30, 40), Idx(1, -1, 0, 5), Idx(3, 0, 0, 7)):
+        _undecided(lambda: S._blocks.C(index))
+    assert len(S._columns[K.C]) == 21
+
+
+@pytest.mark.parametrize("kind", sorted(sequences.CORE_KINDS, key=lambda k: k.value),
+                         ids=lambda k: k.value)
+def test_stride_two_blocks_read_what_each_index_reads(kind):
+    S = SequenceValues()
+    S.value(kind, 41)
+    for parity in (0, 1):
+        index = verifier._Idx(2, parity, 0, 20)
+        assert getattr(S._blocks, kind.value)(index).v == [
+            S.value(kind, n) for n in index.indices()], parity
+
+
+def test_entries_below_a_route_difference_still_read(faulty_binet_B):
+    S = verifier._checked(None)
+    differs = {"n": 5, "reason": "B(5) differs between routes", "route": "binet"}
+    for n in (12, 5, 6, 40, 5):  # the first read is the fill that meets the difference
+        with pytest.raises(verifier._RoutesDiffer) as exc:
+            S.B(n)
+        assert exc.value.args[0] == differs, n
+    assert [S.B(n) for n in range(5)] == [term(K.B, n) for n in range(5)]
+    assert len(S._columns[K.B]) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**70, 2**70).map(lambda x: 2 * x), min_size=1, max_size=12),
+       st.integers(0, 11))
+@example([0, -2, 6, -2**71], 1)
+def test_vector_halving_agrees_with_divmod(evens, i):
+    # exact halves are floored as divmod floors them, below zero too; one
+    # odd element leaves the block undecided
+    Vec, i = verifier._Vec, i % len(evens)
+    assert verifier._xdiv(Vec(evens), 2).v == [verifier._xdiv(x, 2) for x in evens]
+    _undecided(lambda: verifier._xdiv(Vec(evens[:i] + [evens[i] - 1] + evens[i + 1:]), 2))
 
 
 def test_block_accessors_apply_each_fault_at_its_index():
