@@ -17,7 +17,8 @@ import heapq
 import math
 from itertools import compress, cycle
 
-from .quadarith import _SQUARES_64, is_perfect_square, isqrt, lucas_chain, record, tau_rho_coords
+from .quadarith import _SQUARES_11, _SQUARES_63, _SQUARES_64, _SQUARES_65, is_perfect_square
+from .quadarith import isqrt, lucas_chain, record, tau_rho_coords
 
 
 class QuadraticForm(record("QuadraticForm", "a b c")):
@@ -139,27 +140,24 @@ def _search_ceiling(form: QuadraticForm, m: int, trace: int) -> int:
     return (_bound_numerator(form, m, trace) >> 64) + 1
 
 
-def _key(row):
-    return (abs(row[0]), row[0], row[1])
-
-
 def _dip(row, matrix, inverse):
-    """The least row of ``row``'s orbit under ``_key``, and its exponent.
+    """The least row of ``row``'s orbit under the key ``(|x|, x, y)``, and its exponent.
 
-    Returns ``(least, k)`` with ``least = matrix^k * row``.  With ``w = a*x +
+    Returns ``(least, k)`` with ``least = matrix^k * row``, stepping the row
+    in plain integers while the key falls.  With ``w = a*x +
     y*(b + sqrt(delta))/2`` and the unit ``t > 1``, ``x_k = A*t^k + B*t^-k``
     for the nonzero reals ``A = w*(sqrt(delta) - b)/(2*a*sqrt(delta))`` and
     ``B = w'*(sqrt(delta) + b)/(2*a*sqrt(delta))``: ``|x_k|`` strictly falls,
     then strictly rises, with at most one tie at the bottom (broken by ``x``
     or ``y``), so the key strictly falls to one least row from both sides.
     """
-    k = 0
-    for mat, step in ((matrix, 1), (inverse, -1)):
-        nxt = mat.apply(row)
-        while _key(nxt) < _key(row):
-            row, k = nxt, k + step
-            nxt = mat.apply(row)
-    return row, k
+    (x, y), k = row, 0
+    for (m11, m12, m21, m22), step in ((matrix, 1), (inverse, -1)):
+        u, v = x * m11 + y * m21, x * m12 + y * m22
+        while (abs(u), u, v) < (abs(x), x, y):
+            x, y, k = u, v, k + step
+            u, v = x * m11 + y * m21, x * m12 + y * m22
+    return (x, y), k
 
 
 _CEILING_LIMIT = 10**12
@@ -319,19 +317,19 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
 def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
     """Every ``z`` in ``[0, p^e)`` with ``z^2 = d (mod p^e)``, for ``e >= 1``.
 
-    Below 2^10 the roots are lifted one power of ``p`` at a time by trying
-    every digit.  For a larger prime, let ``p^k`` be the largest power of
-    ``p`` dividing both ``d`` and ``p^e``.  With ``k = e`` the roots are the
+    At ``p = 2`` the roots are lifted one bit at a time by trying both
+    digits.  For an odd prime, let ``p^k`` be the largest power of ``p``
+    dividing both ``d`` and ``p^e``.  With ``k = e`` the roots are the
     multiples of ``p^ceil(e/2)``; an odd ``k < e`` leaves none; an even one
     gives ``p^(k/2) * u`` for the two roots ``u`` of ``d/p^k`` modulo
     ``p^(e-k)`` (Tonelli-Shanks modulo ``p``, lifted by Newton's step), each
     with its ``p^(k/2)`` lifts modulo ``p^e``.
     """
-    if p < 1 << 10:
+    if p == 2:
         roots, q = [0], 1
         for _ in range(e):
-            roots = [z for r in roots for z in range(r, r + p * q, q) if (z * z - d) % (p * q) == 0]
-            q *= p
+            roots = [z for r in roots for z in (r, r + q) if (z * z - d) % (2 * q) == 0]
+            q *= 2
         return roots
     k = 0
     while k < e and d % p**(k + 1) == 0:
@@ -373,10 +371,15 @@ def _convergent_hits(delta: int, n: int, z: int, top: int):
 
 
 def _exact_square_hits(delta, shift, ys):
-    """The ``y0`` of ``ys`` with ``delta*y0^2 + shift`` square, in big-int arithmetic."""
+    """The ``y0`` of ``ys`` with ``delta*y0^2 + shift`` square, in big-int arithmetic.
+
+    A radicand passing the residue tables mod 63, 65 and 11 is decided by
+    ``math.isqrt``; the class mod 64 is left to the caller.
+    """
     for y0 in ys:
         rad = delta * y0 * y0 + shift
-        if rad >= 0 and is_perfect_square(rad)[0]:
+        if rad >= 0 and (_SQUARES_63[(r := rad % 45045) % 63] and _SQUARES_65[r % 65]
+                         and _SQUARES_11[r % 11] and math.isqrt(rad) ** 2 == rad):
             yield y0
 
 
@@ -385,12 +388,14 @@ def _square_radicand_hits(delta: int, shift: int, ceiling: int):
 
     ``delta`` is a non-square of at least 5.  A small window is scanned
     directly, skipping each ``y0`` whose class mod 64 makes the radicand a
-    non-square mod 64.  A larger window is searched by the
-    Lagrange-Matthews-Mollin reduction: a hit is a solution of
-    ``w^2 - delta*y0^2 = shift`` with ``w >= 0``; with ``g = gcd(w, y0)``,
+    non-square mod 64 (``_exact_square_hits`` decides the rest).  A larger
+    window is searched by the Lagrange-Matthews-Mollin reduction: a hit is a
+    solution of ``w^2 - delta*y0^2 = shift`` with ``w >= 0``; with ``g = gcd(w, y0)``,
     ``g^2`` divides the shift, and ``(w, y0)/g`` solves the equation for
     ``n = shift/g^2`` with ``w = -z*y0/g`` modulo ``|n|`` for a square root
-    ``z`` of ``delta``.  As ``delta >= 5``, Legendre's criterion makes
+    ``z`` of ``delta``; the roots modulo each prime power of the shift are
+    lifted once per call and joined by the Chinese remainder theorem for
+    every ``g``.  As ``delta >= 5``, Legendre's criterion makes
     ``(w, y0)/g`` a convergent of ``(z + sqrt(delta))/|n|``, found by
     ``_convergent_hits`` in ``O(log ceiling)`` steps, however wide the
     window or large the unit.  A prime square dividing both ``delta`` and
@@ -419,15 +424,16 @@ def _square_radicand_hits(delta: int, shift: int, ceiling: int):
             delta, shift, e = delta // (p * p), shift // (p * p), e - 2
         scales = [(g * p**f, parts + [(p, e - 2 * f)])
                   for g, parts in scales for f in range(e // 2 + 1)]
-    hits = set()
+    hits, lifted = set(), {}  # (p, e) -> the square roots of delta modulo p^e
     for g, parts in scales:
         roots, modulus = [0], 1
         for p, e in parts:
             if e:
                 q = p**e
                 inv = pow(modulus, -1, q)
-                roots = [r + modulus * ((s - r) * inv % q)
-                         for r in roots for s in _sqrt_mod_prime_power(delta, p, e)]
+                if (p, e) not in lifted:
+                    lifted[p, e] = _sqrt_mod_prime_power(delta, p, e)
+                roots = [r + modulus * ((s - r) * inv % q) for r in roots for s in lifted[p, e]]
                 modulus *= q
         for z in roots:
             hits.update(g * y for y in _convergent_hits(delta, shift // (g * g), z, ceiling // g))

@@ -411,7 +411,7 @@ def test_ci_smoke_pins_hold_in_process(capsys, monkeypatch):
     # the workflow file stays the one record of these digests
     monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
     pins = ci_pins()
-    assert len(pins) == 29
+    assert len(pins) == 30
     for args, digest in pins:
         code, out, _ = run(capsys, *args.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, args

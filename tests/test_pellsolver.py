@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balance_forge import pellsolver
 from balance_forge.pellsolver import (
@@ -685,6 +686,64 @@ def test_sqrt_mod_prime_power_lists_every_root():
                         count = 2 * p ** (v // 2) if pow(u, (p - 1) // 2, p) == 1 else 0
                     assert len(roots) == len(set(roots)) == count, (d, p, e)
                     assert all(0 <= z < q and (z * z - d) % q == 0 for z in roots[::997]), (d, p, e)
+
+
+def test_sqrt_mod_prime_power_matches_brute_force_for_small_odd_primes():
+    # odd primes below 2^10 take Tonelli-Shanks and Newton's step; every d
+    # mod p^e is tried, so at e <= 4 every valuation of p in d is hit
+    sieve = bytearray([0, 0]) + bytearray([1]) * 1022
+    for p in range(2, 32):
+        sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+    cases = [(p, 1) for p in range(3, 1 << 10) if sieve[p]]
+    cases += [(p, e) for p in (3, 5, 7, 11, 13) for e in (2, 3, 4)]
+    for p, e in cases:
+        q = p**e
+        roots = [[] for _ in range(q)]
+        for z in range(q):
+            roots[z * z % q].append(z)
+        for d in range(q):
+            assert sorted(_sqrt_mod_prime_power(d, p, e)) == roots[d], (d, p, e)
+
+
+def test_square_radicand_hits_lifts_each_prime_power_once(monkeypatch):
+    # on the factor path the shift -2^2 * 3^2 * 5^2 * 7 * 11 has eight
+    # scales g and several partial roots in each; the square roots of delta
+    # modulo each (p, e) are lifted once per call
+    lifts = []
+    lift = pellsolver._sqrt_mod_prime_power
+    monkeypatch.setattr(pellsolver, "_sqrt_mod_prime_power",
+                        lambda d, p, e: lifts.append((p, e)) or lift(d, p, e))
+    delta, shift, ceiling = 37, -4 * 9 * 25 * 7 * 11, 5000
+    hits = list(_square_radicand_hits(delta, shift, ceiling))
+    assert hits == list(_exact_square_hits(delta, shift, range(ceiling + 1)))
+    assert len(hits) == 13
+    assert sorted(lifts) == [(2, 2), (3, 2), (5, 2), (7, 1), (11, 1)]
+
+
+# forms with a seeded right-hand side: b = 0 and b != 0, m of both signs,
+# the first four with two rows of one |x| at the bottom of some orbit
+DIP_CASES = [(2, 0, -1, 9), (1, 0, -3, -2), (1, -6, -2, 1), (3, 3, -20, -540),
+             (8, 0, -1, -9), (2, -4, -2, 196), (4, -2, -10, 16), (-1, 3, 2, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(DIP_CASES), pick=st.integers(0, 5), j=st.integers(-12, 12),
+       sign=st.sampled_from([1, -1]))
+def test_dip_is_the_least_key_of_the_orbit(case, pick, j, sign):
+    *abc, m = case
+    form = QuadraticForm(*abc)
+    matrix = orbit_matrix(form)
+    reps = representatives(form, m)
+    rep = reps[pick % len(reps)]
+    row = matrix.power(j).apply((sign * rep[0], sign * rep[1]))
+    least, k = pellsolver._dip(row, matrix, matrix.inverse())
+    assert matrix.power(k).apply(row) == least
+
+    def key(r):
+        return (abs(r[0]), r[0], r[1])
+
+    near = [matrix.power(i).apply(row) for i in range(k - 40, k + 41)]
+    assert min(near, key=key) == least
 
 
 def test_sieve_equals_exact_scan():
