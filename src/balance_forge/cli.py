@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from .pellsolver import QuadraticForm, solutions
 # term stays a module global: perfbench's tracer wraps it here
 from .sequences import KIND_BY_NAME, term, terms  # noqa: F401
-from .verifier import GROUPS, _jsonl, reports_to_jsonl, verify, verify_all, verify_group
+from .verifier import GROUPS, _jsonl, verify, verify_all, verify_group
 
 _FORMATS = ("plain", "jsonl")
 
@@ -35,9 +35,14 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _write(lines: list[str]) -> None:
-    if lines:
-        sys.stdout.write("\n".join(lines) + "\n")
+def _write(lines) -> None:
+    """The one writer to stdout.  A closed stdout ends the output quietly: fd 1
+    then points at os.devnull, so the interpreter's last flush cannot fail."""
+    try:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_gen(args) -> int:
@@ -50,11 +55,11 @@ def _cmd_gen(args) -> int:
         values = terms(kind, args.start)
     except ValueError as exc:
         return _fail(str(exc))
-    for n, value in zip(range(args.start, args.stop + 1), values):
-        if args.format == "jsonl":
-            print(_jsonl({"command": "gen", "kind": args.kind, "n": n, "value": value}))
-        else:
-            print(value)
+    pairs = zip(range(args.start, args.stop + 1), values)
+    if args.format == "jsonl":
+        _write(_jsonl({"command": "gen", "kind": args.kind, "n": n, "value": v}) for n, v in pairs)
+    else:
+        _write(v for _, v in pairs)
     return 0
 
 
@@ -72,12 +77,12 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.format == "jsonl":
-        _write([_jsonl({
+        _write(_jsonl({
             "command": "solve", "x": sol.x, "y": sol.y,
             "rep": sol.rep, "exponent": sol.exponent, "sign": sol.sign,
-        }) for sol in sols])
+        }) for sol in sols)
     else:
-        _write([f"({sol.x},{sol.y})" for sol in sols])
+        _write(f"({sol.x},{sol.y})" for sol in sols)
     return 0
 
 
@@ -92,7 +97,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.format == "jsonl":
-        print(reports_to_jsonl(reports))
+        _write(_jsonl(report.to_dict()) for report in reports)
     else:
         lines = []
         for report in reports:

@@ -9,8 +9,9 @@ and balancer root, in ``baa12`` and ``interlock`` alike, comes from one
 ``_xsqrt``: the witness read (``C``, ``c``, ``WITNESS_KIND``) if one squaring
 confirms it, else the exact test.
 Identities read the families only through ``SequenceValues`` accessors
-(``S.B``, ``S.Bss``, ...) over five core columns: lists that a fill extends
-and a block reads as a slice, each compared with the closed-form route
+(``S.B``, ``S.Bss``, ...), one per family, over five core columns that one
+``_Column.read`` reads at an index or a block: lists that an index read
+extends and a block reads as a slice, each compared with the closed-form route
 (powers of ``1 + sqrt(2)``) as it fills; a read from the first entry that
 differs on fails the check with a ``"route": "binet"`` counterexample.
 Columns live for one ``verify``, ``verify_group`` or ``verify_all`` call.
@@ -64,8 +65,9 @@ class _RoutesDiffer(Exception):
 class _Column(list):
     """``v(0), v(1), ...`` in one list, taken from an iterator of them as far as read.
 
-    ``read(n)`` past the end fills the column up to ``n`` with one ``extend``;
-    a negative index raises.  ``block`` reads a slice.  With ``oracle`` set, a
+    ``read(n)`` of an index past the end fills the column up to ``n`` with one
+    ``extend``; a negative index raises.  ``read`` of an ``_Idx`` block returns
+    one slice of the entries held and fills nothing.  With ``oracle`` set, a
     fill takes as many entries of it and compares the two lists; the column
     stores none from the first that differs on, and a read from there raises.
     """
@@ -81,6 +83,10 @@ class _Column(list):
             return self[n]
         except IndexError:
             return self.fill(n)
+        except _Undecided:  # a block: ``_Idx.__index__`` raises, so an int read pays nothing
+            r = n.indices()
+            _need(r.stop <= len(self))
+            return _Vec(self[r.start:r.stop:r.step])
 
     def fill(self, n):
         if self.differs:
@@ -94,12 +100,6 @@ class _Column(list):
         self.extend(ours)
         return self.read(n)
 
-    def block(self, i: _Idx) -> _Vec:
-        """The entries at each index of ``i``, from those held: a block fills nothing."""
-        r = i.indices()
-        _need(r.start >= 0 and r.stop <= len(self))
-        return _Vec(self[r.start:r.stop:r.step])
-
 
 class SequenceValues:
     """Sequence accessor the catalog evaluates through.
@@ -108,14 +108,12 @@ class SequenceValues:
     bound at construction.  ``route`` selects how the core families are
     computed: ``"recurrence"`` steps their recurrences, ``"binet"`` reads
     successive powers of ``1 + sqrt(2)``.  Each instance keeps its own core
-    columns: lists that a read past the end extends and a block reads as a
-    slice, freed with the instance; the other families are evaluated from
-    them by their general terms.  Only the instance a
-    ``verify*`` call builds checks its columns against the closed-form route
-    as they fill (``_Column.oracle``).  ``overrides`` maps
-    ``(kind, index)`` to an additive fault, used by sensitivity tests; a
-    fault changes only the faulted family, never the columns.  ``_blocks``
-    holds the accessors of an ``_Idx``, each fault applied at its index.
+    columns, freed with the instance, and reads an index or an ``_Idx`` block
+    of them through ``_Column.read``; the other families are evaluated from
+    them by their general terms.  Only the instance a ``verify*`` call builds
+    checks its columns against the closed-form route as they fill
+    (``_Column.oracle``).  ``overrides`` maps ``(kind, index)`` to an additive
+    fault, used by sensitivity tests; it changes only the faulted family.
     """
 
     def __init__(self, route: str = "recurrence", overrides=None):
@@ -128,13 +126,10 @@ class SequenceValues:
         # the instance frees the columns at once
         self._columns = {k: _Column(k, source(k)) for k in CORE_KINDS}
         core = SimpleNamespace(**{k.value: c.read for k, c in self._columns.items()})
-        blocks = SimpleNamespace(**{k.value: c.block for k, c in self._columns.items()})
-        self._blocks = SimpleNamespace()
         for kind in SequenceKind:
             faults = {n: d for (k, n), d in self.overrides.items() if k is kind}
-            for view, reads in ((self, core), (self._blocks, blocks)):
-                exact = getattr(reads, kind.value, None) or partial(_DERIVED[kind], reads)
-                setattr(view, kind.value, _faulted(exact, faults) if faults else exact)
+            exact = getattr(core, kind.value, None) or partial(_DERIVED[kind], core)
+            setattr(self, kind.value, _faulted(exact, faults) if faults else exact)
 
     def value(self, kind: SequenceKind, n: int) -> int:
         return getattr(self, kind.value)(n)
@@ -479,7 +474,7 @@ def _run_check(check: IdentityCheck, n_max: int, S: SequenceValues) -> Verificat
         if n_max >= check.start:
             with suppress(_Inexact):
                 check.fn(S, n_max)  # fills each column at once: every catalog index grows with n
-        for n in range(_blocks_hold(check, n_max, S._blocks), n_max + 1):
+        for n in range(_blocks_hold(check, n_max, S), n_max + 1):
             try:
                 lhs, rhs = check.fn(S, n)
             except _Inexact as exc:
@@ -492,11 +487,11 @@ def _run_check(check: IdentityCheck, n_max: int, S: SequenceValues) -> Verificat
     return VerificationReport(check.id, check.start, n_max, "pass")
 
 
-def _blocks_hold(check: IdentityCheck, n_max: int, blocks) -> int:
+def _blocks_hold(check: IdentityCheck, n_max: int, S: SequenceValues) -> int:
     """The first index of the first block not decided to hold, else ``n_max + 1``."""
     for lo in range(check.start, n_max + 1, _BLOCK):
         with suppress(_Undecided):
-            lhs, rhs = check.fn(blocks, _Idx(1, 0, lo, min(lo + _BLOCK - 1, n_max)))
+            lhs, rhs = check.fn(S, _Idx(1, 0, lo, min(lo + _BLOCK - 1, n_max)))
             if lhs == rhs:
                 continue
         return lo

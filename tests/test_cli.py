@@ -516,3 +516,43 @@ def test_fast_path_takes_every_ci_and_benchmark_argv(monkeypatch):
               for kind, call, _ in workloads.build(name, seed) if kind == "cli"]
     assert len(argvs) > 400
     assert [argv for argv in argvs if cli._match(argv) is None] == []
+
+
+def test_tracer_boundaries_are_callable_module_globals():
+    # the traced benchmark wraps these names; a dropped import would only
+    # show there, as a failed smoke run
+    import importlib
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.BOUNDARIES) > 10
+    for module, name, _ in tracer.BOUNDARIES:
+        found = vars(importlib.import_module(f"balance_forge.{module}")).get(name)
+        assert callable(found), (module, name)
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["gen", "B", "0", "20000"], 1),
+    (["gen", "B", "0", "20000", "--format", "jsonl"], 1),
+    (["solve", "1", "0", "-2", "1", "--count", "3000"], 1),
+    (["verify", "teo2", "--upto", "50"], 0),  # a few short lines: closed before any is written
+    (["verify", "teo2", "--upto", "50", "--format", "jsonl"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_a_closed_stdout_ends_the_command_quietly(argv, lines_read):
+    # stdout buffered as in a shell pipe: unbuffered, one large write into a
+    # closed pipe drops the rest without an error
+    env = {**os.environ, "PYTHONPATH": str(Path(balance_forge.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    env.pop("BALANCE_FORGE_FORMAT", None)
+    proc = subprocess.Popen([sys.executable, "-m", "balance_forge", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        for _ in range(lines_read):
+            assert proc.stdout.readline().endswith(b"\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b"")
+    finally:
+        proc.kill()
+        proc.wait()

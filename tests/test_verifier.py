@@ -638,8 +638,8 @@ def test_index_operations_decided_or_undecided():
         lambda: verifier._xdiv(Vec([4, 6, 7]), 2),  # not exact at one index
         lambda: verifier._xsqrt(Vec([4, 9]), Vec([2, -3])),  # a negative hint
         lambda: verifier._xsqrt(Vec([4, 10]), Vec([2, 3])),  # not a square
-        lambda: SequenceValues()._blocks.B(every - 2),  # a negative index
-        lambda: SequenceValues()._blocks.B(every),  # an entry the column does not hold
+        lambda: SequenceValues().B(every - 2),  # a negative index
+        lambda: SequenceValues().B(every),  # an entry the column does not hold
     ):
         _undecided(operation)
 
@@ -666,9 +666,9 @@ def test_an_empty_column_rejects_index_minus_one(name):
 def test_a_block_reads_held_entries_and_fills_nothing():
     Idx, S = verifier._Idx, SequenceValues()
     S.C(20)
-    assert S._blocks.C(Idx(1, 0, 0, 20)).v == [S.C(n) for n in range(21)]
+    assert S.C(Idx(1, 0, 0, 20)).v == [S.C(n) for n in range(21)]
     for index in (Idx(1, 0, 0, 21), Idx(1, 0, 30, 40), Idx(1, -1, 0, 5), Idx(3, 0, 0, 7)):
-        _undecided(lambda: S._blocks.C(index))
+        _undecided(lambda: S.C(index))
     assert len(S._columns[K.C]) == 21
 
 
@@ -679,7 +679,7 @@ def test_stride_two_blocks_read_what_each_index_reads(kind):
     S.value(kind, 41)
     for parity in (0, 1):
         index = verifier._Idx(2, parity, 0, 20)
-        assert getattr(S._blocks, kind.value)(index).v == [
+        assert getattr(S, kind.value)(index).v == [
             S.value(kind, n) for n in index.indices()], parity
 
 
@@ -712,5 +712,31 @@ def test_block_accessors_apply_each_fault_at_its_index():
         getattr(S, name)(40)
     for name, index in (("P", verifier._Idx(1, 0, 1, 20)), ("Bss", verifier._Idx(2, 0, 1, 10)),
                         ("css", verifier._Idx(1, 0, 1, 20)), ("Cs", verifier._Idx(2, 1, 0, 9))):
-        assert getattr(S._blocks, name)(index).v == [
+        assert getattr(S, name)(index).v == [
             getattr(S, name)(i) for i in index.indices()], name
+
+
+_INTERLEAVED_NAMES = ("Bss", "Css", "bs", "cs")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(KIND_BY_NAME)), st.sampled_from((1, 2)), st.integers(-3, 3),
+       st.integers(0, 6), st.integers(0, 6),
+       st.none() | st.tuples(st.sampled_from(list(KIND_BY_NAME)), st.integers(0, 30)))
+@example("P", 1, 0, 1, 8, ("P", 3))  # a fault inside a core block
+@example("cs", 2, -1, 1, 5, ("cs", 5))  # a fault inside an interleaved block
+def test_a_block_reads_what_each_index_reads(name, a, b, lo, span, override):
+    # one accessor per family: a block read of columns held past its reach is
+    # the list of its index reads, or undecided, and decided wherever every
+    # index is at least 1 and no parity is mixed
+    overrides = {(KIND_BY_NAME[override[0]], override[1]): 5} if override else {}
+    S, block = SequenceValues(overrides=overrides), verifier._Idx(a, b, lo, lo + span)
+    top = a * (lo + span) + b
+    for kind in sequences.CORE_KINDS:
+        S.value(kind, top + 3)
+    try:
+        got = getattr(S, name)(block).v
+    except verifier._Undecided:
+        assert a * lo + b < 1 or a == 1 and name in _INTERLEAVED_NAMES
+    else:
+        assert got == [getattr(S, name)(i) for i in block.indices()]
