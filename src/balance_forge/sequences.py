@@ -36,12 +36,13 @@ between calls:
 * ``term_binet`` and ``closed_form_terms`` are the closed-form route: exact
   powers of ``1 + sqrt(2)``.
 
-Membership in a family is decided by a perfect-square criterion on a
-radicand built from one squaring of ``x`` (``x`` is a balancing number iff
-``8x^2 + 1`` is a square); its root is the Lucas-type witness.  Above
-``DEEP_ROOT_BITS`` bits of root, a non-square modulo a prime from 17 to 97
-is rejected exactly, and a witness term of the root's bit length is kept
-if it squares to the radicand; otherwise ``math.isqrt`` decides.
+Membership in a family is decided by a perfect-square criterion
+(``x`` is a balancing number iff ``8x^2 + 1`` is a square); its root is the
+Lucas-type witness.  Above ``DEEP_ROOT_BITS`` bits of root, a non-square
+modulo a prime from 17 to 97 is rejected exactly, and a member is proved by
+a row ``root + (2x + s)*sqrt(2)`` of the radicand's norm, stepped from a
+norm-1 power of ``1 + sqrt(2)`` times a base of the family, which the code
+checks itself; otherwise ``math.isqrt`` decides.
 ``balancer`` recovers the gap length ``r`` from the defining equal-sums
 equation of a member.
 """
@@ -247,28 +248,29 @@ def closed_form_terms(kind: SequenceKind):
             p = q + r
 
 
-# member kind -> ((s, t) of the radicand 8x^2 + 8sx + t, witness, balancer)
+# member kind -> ((s, t) of the radicand 8x^2 + 8sx + t, witness, balancer, bases):
+# a member's root w and X = 2x + s make w + X*sqrt(2) = base * (1 + sqrt(2))**e,
+# of norm w^2 - 2X^2 = t - 2s^2
 _MEMBERSHIP = {
-    SequenceKind.B: ((0, 1), SequenceKind.C, BalancerKind.R),
-    SequenceKind.b: ((1, 1), SequenceKind.c, BalancerKind.r),
-    SequenceKind.Bstar: ((0, 9), SequenceKind.Cstar, BalancerKind.Rstar),
-    SequenceKind.Bstarstar: ((0, -7), SequenceKind.Cstarstar, BalancerKind.Rstarstar),
-    SequenceKind.bstar: ((1, 9), SequenceKind.cstar, BalancerKind.rstar),
-    SequenceKind.bstarstar: ((1, -7), SequenceKind.cstarstar, BalancerKind.rstarstar),
+    SequenceKind.B: ((0, 1), SequenceKind.C, BalancerKind.R, ((1, 0),)),
+    SequenceKind.b: ((1, 1), SequenceKind.c, BalancerKind.r, ((1, 0),)),
+    SequenceKind.Bstar: ((0, 9), SequenceKind.Cstar, BalancerKind.Rstar, ((3, 0),)),
+    SequenceKind.Bstarstar: ((0, -7), SequenceKind.Cstarstar, BalancerKind.Rstarstar, ((1, 2), (-1, 2))),
+    SequenceKind.bstar: ((1, 9), SequenceKind.cstar, BalancerKind.rstar, ((1, 2), (-1, 2))),
+    SequenceKind.bstarstar: ((1, -7), SequenceKind.cstarstar, BalancerKind.rstarstar, ((3, 0),)),
 }
 
-# above this many root bits, is_member reads the root from the witness terms and
-# confirms it by one squaring, cheaper there than math.isqrt's quadratic division
+# above this many root bits, is_member proves the root by a norm certificate,
+# cheaper there than math.isqrt's quadratic division
 DEEP_ROOT_BITS = 8192
-_INTERLEAVED = (SequenceKind.Cstarstar, SequenceKind.cstar)
 # prime -> its squares as bits; together they pass about 1 non-square in 330,000
 _PRIME_SQUARES = {p: sum({1 << i * i % p for i in range(p)}) for p in (
     17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)}
 _PRIME_MODULUS = prod(_PRIME_SQUARES)
 
-WITNESS_KIND = {kind: witness for kind, (_, witness, _) in _MEMBERSHIP.items()}
+WITNESS_KIND = {kind: witness for kind, (_, witness, *_) in _MEMBERSHIP.items()}
 MEMBERSHIP_KINDS = tuple(_MEMBERSHIP)
-_MEMBER_OF_BALANCER = {bal: kind for kind, (_, _, bal) in _MEMBERSHIP.items()}
+_MEMBER_OF_BALANCER = {bal: kind for kind, (_, _, bal, _) in _MEMBERSHIP.items()}
 
 
 def is_member(kind: SequenceKind, x: int) -> tuple[bool, int | None]:
@@ -278,21 +280,31 @@ def is_member(kind: SequenceKind, x: int) -> tuple[bool, int | None]:
     row = _MEMBERSHIP.get(kind)
     if row is None:
         raise ValueError("no membership criterion")
-    s, t = row[0]
+    (s, t), _, _, bases = row
     r = x % SQUARE_RESIDUE_MODULUS  # most non-members fail on residues alone
-    if not square_residue(8 * r * (r + s) + t) or (rad := (x * x << 3) + (s * x << 3) + t) < 0:
+    if not square_residue(8 * r * (r + s) + t):
         return False, None
-    bits = (rad.bit_length() + 1) // 2  # of isqrt(rad)
-    if bits > DEEP_ROOT_BITS:
-        w = rad % _PRIME_MODULUS  # a non-residue modulo any one prime proves rad no square
-        if not all(squares >> w % p & 1 for p, squares in _PRIME_SQUARES.items()):
+    X = 2 * x + s  # 8x^2 + 8sx + t = 2X^2 + t - 2s^2, of a root with at least X's bits
+    if X.bit_length() >= DEEP_ROOT_BITS:
+        r = x % _PRIME_MODULUS  # a non-residue modulo any one prime proves no square
+        if not all(squares >> (8 * r * (r + s) + t) % p & 1 for p, squares in _PRIME_SQUARES.items()):
             return False, None
-        # a witness gains log2(1 + sqrt(2)) < 3179/2500 bits per index on the
-        # interleaved families, twice that on the others
-        start = bits * 2500 // 3179 // (1 if row[1] in _INTERLEAVED else 2) - 2
-        root = next(w for w in terms(row[1], start) if w.bit_length() >= bits)
-        if root * root == rad:
-            return True, root
+        # a row gains log2(1 + sqrt(2)) < 3179/2500 bits per power and its base
+        # under 1.5 bits: 4j is at most the member's power e, and a few below it
+        u, u1 = lucas_chain(6, -1, (X.bit_length() * 2500 // 3179 - 1) // 4)
+        p, q = u1 - 3 * u, 2 * u  # C(j) + 2B(j)*sqrt(2) = (1 + sqrt(2))**2j, if the chain is right
+        pp, qq = p * p, q * q
+        if pp - 2 * qq == 1:  # then its square has norm 1, whatever the chain returned
+            P, Q = pp + 2 * qq, (v := p + q) * v - pp - qq
+            for g, h in bases:
+                a, c, norm = g * P + 2 * h * Q, g * Q + h * P, g * g - 2 * h * h
+                while 0 < c < X:  # times 1 + sqrt(2), by two additions
+                    a, c, norm = a + 2 * c, a + c, -norm
+                # a^2 - 2X^2 = t - 2s^2 proves a the root; the deep path starts in root bits
+                if c == X and norm == t - 2 * s * s and a >= 0 and a.bit_length() > DEEP_ROOT_BITS:
+                    return True, a
+    if (rad := (x * x << 3) + (s * x << 3) + t) < 0:
+        return False, None
     return is_perfect_square(rad)
 
 

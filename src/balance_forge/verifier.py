@@ -403,7 +403,7 @@ def _pairings(name: str, first: SequenceKind, second: SequenceKind):
         (f"{name}({label}, n+{o})",
          lambda S, n, m=kind.value, w=witness.value, s=s, t=t, o=o: _gap(S, m, w, s, t, n + o))
         for label, kind in (("first", first), ("second", second))
-        for (s, t), witness, _ in (_MEMBERSHIP[kind],)
+        for (s, t), witness, *_ in (_MEMBERSHIP[kind],)
         for o in (0, 1, 2)
     )
 

@@ -457,24 +457,125 @@ def _members_and_neighbours(kind):
     return [x + d for x in (term(kind, first), term(kind, first + 40)) for d in (-1, 0, 1)]
 
 
+@pytest.fixture
+def open_residues(monkeypatch):
+    """Residue stages that pass every value, so that the certificate alone decides."""
+    monkeypatch.setattr(sequences, "square_residue", lambda v: True)
+    monkeypatch.setattr(sequences, "_PRIME_SQUARES", {p: (1 << p) - 1 for p in sequences._PRIME_SQUARES})
+
+
 @pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
 def test_too_high_start_cannot_decide(kind, monkeypatch, square_roots):
-    values, real = _members_and_neighbours(kind), sequences.terms
-    monkeypatch.setattr(sequences, "terms", lambda k, start=0: real(k, start + 10))
+    values, real = _members_and_neighbours(kind), sequences.lucas_chain
+    monkeypatch.setattr(sequences, "lucas_chain", lambda s1, s2, n: real(s1, s2, n + 10))
     for x in values:
         assert is_member(kind, x) == _plain_member(kind, x)
-    # the proposed witness is past the root, so every member reaches isqrt
+    # the certificate starts past the member's row, so every member reaches isqrt
     assert sum(RADICANDS[kind](x) in square_roots for x in values[1::3]) == 2
+
+
+# membership kind -> a kind of the same s on another orbit, whose bases it is given
+WRONG_ORBIT = {K.B: K.Bstar, K.Bstar: K.B, K.Bstarstar: K.B,
+               K.b: K.bstarstar, K.bstarstar: K.b, K.bstar: K.b}
 
 
 @pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
-def test_wrong_witness_stream_cannot_decide(kind, monkeypatch, square_roots):
-    values, real = _members_and_neighbours(kind), sequences.terms
-    wrong = K.Cstar if WITNESS_KIND[kind] is not K.Cstar else K.C
-    monkeypatch.setattr(sequences, "terms", lambda k, start=0: real(wrong, start))
-    for x in values:
-        assert is_member(kind, x) == _plain_member(kind, x)
-    assert sum(RADICANDS[kind](x) in square_roots for x in values[1::3]) == 2
+def test_wrong_witness_stream_cannot_decide(kind, monkeypatch, square_roots, open_residues):
+    values, real, other = _members_and_neighbours(kind), sequences.lucas_chain, WRONG_ORBIT[kind]
+    # the other kind's members lie on the wrong orbit: only the norm test refuses them
+    strangers = [term(other, n) for n in (_crossing(other), _crossing(other) + 41)]
+    row = sequences._MEMBERSHIP[kind]
+    for fault in ("base", "recurrence"):
+        square_roots.clear()
+        with monkeypatch.context() as m:
+            if fault == "base":
+                m.setitem(sequences._MEMBERSHIP, kind, row[:3] + sequences._MEMBERSHIP[other][3:])
+            else:  # Pell's recurrence in place of (6, -1)
+                m.setattr(sequences, "lucas_chain", lambda s1, s2, n: real(2, 1, n))
+            for x in values + strangers:
+                assert is_member(kind, x) == _plain_member(kind, x), (fault, x)
+        assert sum(RADICANDS[kind](x) in square_roots for x in values[1::3]) == 2, fault
+
+
+def _conjugate_chain(real):
+    """``(U(-j-1), U(-j))``: the chain of ``(1 - sqrt(2))**(2j + 2)``, also of norm 1."""
+    def chain(s1, s2, n):
+        u, u1 = real(s1, s2, n + 1)
+        return -u, u1 - s1 * u
+    return chain
+
+
+@pytest.mark.parametrize("fault", ["norm", "scaled", "conjugate"])
+@pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
+def test_faulty_chain_cannot_decide(kind, fault, monkeypatch, square_roots, open_residues):
+    first, (s, _), real = _crossing(kind), sequences._MEMBERSHIP[kind][0], sequences.lucas_chain
+    members = [term(kind, n) for n in range(first, first + 8)]
+    if fault == "norm":  # p^2 - 2q^2 is not 1
+        chain = lambda s1, s2, n: (lambda u, u1: (u, u1 + 1))(*real(s1, s2, n))
+    elif fault == "scaled":  # norm 9: its square times a base reaches 9X, the X of 9x + 4s
+        chain = lambda s1, s2, n: tuple(3 * v for v in real(s1, s2, n))
+        members = [9 * x + 4 * s for x in members]
+    else:  # a row of the right norm and coordinate, with the root's sign flipped
+        chain = _conjugate_chain(real)
+    monkeypatch.setattr(sequences, "lucas_chain", chain)
+    for x in members:
+        for y in (x - 1, x, x + 1):
+            assert is_member(kind, y) == _plain_member(kind, y), y
+    assert all(RADICANDS[kind](x) in square_roots for x in members)
+
+
+# membership kind -> (base, exponent) of the row of its member at index n >= 1
+ORBIT = {
+    K.B: lambda n: ((1, 0), 2 * n),
+    K.b: lambda n: ((1, 0), 2 * n - 1),
+    K.Bstar: lambda n: ((3, 0), 2 * n),
+    K.bstarstar: lambda n: ((3, 0), 2 * n - 1),
+    K.Bstarstar: lambda n: ((1, 2), n - 1) if n % 2 else ((-1, 2), n),
+    K.bstar: lambda n: ((1, 2), n) if n % 2 else ((-1, 2), n + 1),
+}
+
+
+def _row(base, e):
+    """``base * (1 + sqrt(2))**e`` as ``(rational part, sqrt(2) coordinate)``."""
+    a, c = base
+    for _ in range(e):
+        a, c = a + 2 * c, a + c
+    return a, c
+
+
+@pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
+def test_bases_reproduce_the_families(kind):
+    (s, t), witness, _, bases = sequences._MEMBERSHIP[kind]
+    used = set()
+    for n in range(1, 51):
+        (g, h), e = ORBIT[kind](n)
+        assert _row((g, h), e) == (term(witness, n), 2 * term(kind, n) + s), n
+        assert (g * g - 2 * h * h) * (-1) ** e == t - 2 * s * s, n
+        used.add((g, h))
+    assert used == set(bases)
+
+
+@pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
+def test_no_kind_accepts_anothers_members(kind, open_residues):
+    values = [x + d for other in MEMBERSHIP_KINDS for n in (_crossing(other), _crossing(other) + 41)
+              for x in [term(other, n)] for d in (-1, 0, 1)]
+    for y in values:
+        assert is_member(kind, y) == _plain_member(kind, y), y
+
+
+@pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
+def test_certificate_starts_a_few_steps_below_the_row(kind, monkeypatch):
+    rng = random.Random(f"steps:{kind.value}")
+    first, top = _crossing(kind), 40000 if kind in (K.Bstarstar, K.bstar) else 20000
+    indices = list(range(first, first + 8)) + sorted(rng.sample(range(first + 8, top), 12)) + [top]
+    members, real, chained = [term(kind, n) for n in indices], sequences.lucas_chain, []
+    monkeypatch.setattr(sequences, "lucas_chain", lambda s1, s2, n: chained.append(n) or real(s1, s2, n))
+    for n, x in zip(indices, members):
+        chained.clear()
+        assert is_member(kind, x)[0]
+        [j] = chained
+        # the squared chain reads (1 + sqrt(2))**4j, a few steps below the member's row
+        assert 0 <= ORBIT[kind](n)[1] - 4 * j <= 7, n
 
 
 def _recurrences(families):
@@ -541,17 +642,16 @@ def test_prime_residue_tables_hold_the_squares():
 
 
 @pytest.mark.parametrize("kind", MEMBERSHIP_KINDS, ids=lambda k: k.value)
-def test_residue_stage_rejects_before_witness_and_root(kind, monkeypatch, square_roots):
+def test_residue_stage_rejects_before_witness_and_root(kind, square_roots, chains):
     # deep non-members next to members that pass the first residue filter
     first, rad = _crossing(kind), RADICANDS[kind]
     values = [y for n in (first, first + 7, 2 * first) for x in [term(kind, n)]
               for y in range(x + 1, x + 200) if square_residue(rad(y))]
     assert len(values) >= 6 and all(not _plain_member(kind, y)[0] for y in values)
-    streams, real = [], sequences.terms
-    monkeypatch.setattr(sequences, "terms", lambda k, start=0: streams.append(k) or real(k, start))
+    chains.clear()
     for y in values:
         assert is_member(kind, y) == (False, None)
-    assert streams == [] and square_roots == []
+    assert chains == [] and square_roots == []
 
 
 def _matrix_mul(x, y):
