@@ -27,12 +27,12 @@ whose parity selects the branch:
 Two independent routes compute the core families, and nothing is cached
 between calls:
 
-* ``term`` and ``terms`` are the recurrence route.  ``terms`` runs one
-  Lucas chain (O(log n) big-integer steps) per recurrence it reads, reads
-  each core family from it by a fixed row, then steps in constant memory;
-  ``term`` of a derived kind is the first value of ``terms``.  A single
-  term costs no more memory than its own value, and it is safe to call
-  from several threads.
+* ``term`` and ``terms`` are the recurrence route: a Lucas chain (O(log n)
+  big-integer steps) of each recurrence read, and each core family a fixed
+  row of it.  ``terms`` then steps in constant memory; ``term`` runs one
+  chain to half the index and reads its value, by its general term, from
+  one half-size product.  A single term costs no more memory than its own
+  value, and it is safe to call from several threads.
 * ``term_binet`` and ``closed_form_terms`` are the closed-form route: exact
   powers of ``1 + sqrt(2)``.
 
@@ -100,19 +100,23 @@ _RECURRENCES = {
 CORE_KINDS = tuple(_RECURRENCES)
 
 
+def _affine(kind: SequenceKind):
+    """``s1, s2, add, k, z0, z1``: ``v = (z + add) / k`` of ``z(i) = (z1 - s1 z0) U(i) + z0 U(i+1)``."""
+    (v0, v1), s1, s2, add = _RECURRENCES[kind]
+    k = 1 - s1 - s2 if add else 1
+    return s1, s2, add, k, k * v0 - add, k * v1 - add
+
+
 def _stepped(kind: SequenceKind, n: int, chains: dict):
     """``v(n), v(n+1), ...`` of a core family: read from one chain, then stepped.
 
-    Any solution is ``z(i) = (z(1) - s1 z(0)) U(i) + z(0) U(i+1)``; an affine
-    row is read as ``z = k*v - add``, ``k = 1 - s1 - s2``.  ``chains`` keeps
-    the chains run, by recurrence and index, for a stream's families.  With
-    ``s2 = -1`` or ``1`` a step is one product by ``s1`` and one subtraction or
-    addition, plus ``add`` if not 0; other rows step as they stand.  The
-    verifier compares each entry with ``closed_form_terms`` as its columns fill.
+    ``chains`` keeps the chains run, by recurrence and index, for a stream's
+    families.  With ``s2 = -1`` or ``1`` a step is one product by ``s1`` and
+    one subtraction or addition, plus ``add`` if not 0; other rows step as
+    they stand.  The verifier compares each entry with ``closed_form_terms``
+    as its columns fill.
     """
-    (v0, v1), s1, s2, add = _RECURRENCES[kind]
-    k = 1 - s1 - s2 if add else 1
-    z0, z1 = k * v0 - add, k * v1 - add
+    s1, s2, add, k, z0, z1 = _affine(kind)
     u, u1 = chains.get((s1, s2, n)) or chains.setdefault((s1, s2, n), lucas_chain(s1, s2, n))
     a, b = ((z1 - s1 * z0) * u + z0 * u1 + add) // k, (z1 * u1 + s2 * z0 * u + add) // k
     if s2 == -1 and not add:  # B, C and c
@@ -159,9 +163,50 @@ _DERIVED = {
 }
 
 
+class _Form(tuple):
+    """``(A x^2 + B xy + C y^2 + c) / d`` as ``(A, B, C, c, d)``, for a general term to run on."""
+
+    def __add__(self, other):
+        *f, d = self
+        *g, e = other if type(other) is _Form else (0, 0, 0, other, 1)
+        return _Form((*(a * e + b * d for a, b in zip(f, g)), d * e))
+
+    __radd__ = __add__
+    __mul__ = __rmul__ = lambda self, k: _Form((*(a * k for a in self[:4]), self[4]))
+    __neg__ = lambda self: self * -1
+    __sub__ = lambda self, other: self + -other
+    __rsub__ = lambda self, other: -self + other
+
+
 def term(kind: SequenceKind, n: int) -> int:
-    """The ``n``-th member of a family, exactly (``n >= 0``), in O(log n) steps."""
-    return next(terms(kind, n))
+    """The ``n``-th member of a family (``n >= 0``), in O(log n) steps: a ``_Form`` over one
+    chain ``x, y = U(h), U(h+1)``, ``h`` half the first core index read, valued by one product."""
+    if n < 0:
+        raise ValueError("undefined index")
+    if kind not in _RECURRENCES and kind not in _DERIVED:
+        raise ValueError(f"unknown kind {kind!r}")
+    chain = []  # s1, s2, h, x, y: every general term reads one recurrence
+
+    def read(core, i):
+        s1, s2, add, k, z0, z1 = _affine(core)
+        if not chain:
+            chain.extend((s1, s2, i // 2, *lucas_chain(s1, s2, i // 2)))
+        u, u1 = (-s1, 2, 0), (s2, 0, 1)  # U(2h) = 2xy - s1 x^2, U(2h+1) = y^2 + s2 x^2
+        for _ in range(i - 2 * chain[2]):
+            u, u1 = u1, tuple(s1 * b + s2 * a for a, b in zip(u, u1))
+        for _ in range(2 * chain[2] - i):  # back, as 1/s2 = s2
+            u, u1 = tuple(s2 * (b - s1 * a) for a, b in zip(u, u1)), u
+        return _Form((*((z1 - s1 * z0) * a + z0 * b for a, b in zip(u, u1)), add, k))
+
+    value = read(kind, n) if kind in _RECURRENCES else _DERIVED[kind](
+        SimpleNamespace(**{k.value: partial(read, k) for k in CORE_KINDS}), n)
+    if type(value) is int:  # css(0), which reads no core value
+        return value
+    (A, B, C, c, d), (s1, s2, h, x, y) = value, chain  # Cassini: y^2 = s1 xy + s2 x^2 + (-s2)^h
+    q, r = divmod(x * ((A + C * s2) * x + (B + C * s1) * y) + C * (-s2) ** h + c, d)
+    if r:
+        raise AssertionError(f"{kind.value}({n}) is not an integer")
+    return q
 
 
 class _Window:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import functools
 import hashlib
@@ -402,9 +403,11 @@ _CI_PIN = re.compile(r'out=\$\(PYTHONPATH=src python -m balance_forge ([^|]*?) \
                      r'\s*test "\$out" = "([0-9a-f]{64})  -"')
 
 
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+
 def ci_pins():
-    workflow = ROOT / ".github" / "workflows" / "tests.yml"
-    return _CI_PIN.findall(workflow.read_text())
+    return _CI_PIN.findall(WORKFLOW.read_text())
 
 
 def test_ci_smoke_pins_hold_in_process(capsys, monkeypatch):
@@ -436,6 +439,39 @@ _PARSER_PINS = {
     "": (2, "c82f99cb40ac88c0c6d174b9d2b2ec13c492f1fcca0d01ad00f0f9788b9957a1"),
     "gen B 0 4 5": (2, "5914ef2eb18102b6dade0e180ae3cb23a7145d76125b93af69e5e4b59df21050"),
 }
+
+
+# the one smoke line that pins the library, `out=$(PYTHONPATH=src python -c "CODE" | sha256sum)`
+_CI_LIBRARY_PIN = re.compile(r'out=\$\(PYTHONPATH=src python -c "([^"]*)" \| sha256sum\)\n'
+                             r'\s*test "\$out" = "([0-9a-f]{64})  -"')
+
+
+def test_ci_library_pin_holds_in_process(capsys):
+    (code, digest), = _CI_LIBRARY_PIN.findall(WORKFLOW.read_text())
+    exec(code, {})
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_readme_library_example():
+    # each line of README's Library block with a `# value` comment, on its
+    # line or the next, returns that value; "same value" repeats the last one
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, checked = block.splitlines(), {}, []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        comment = lines[node.end_lineno - 1][node.end_col_offset:].strip() or lines[node.end_lineno]
+        comment = comment.removeprefix("#").strip()
+        if comment.startswith("same value"):
+            assert value == checked[-1], comment
+        else:
+            rest = comment.removeprefix(repr(value))
+            assert rest != comment and rest[:1] in ("", ",", " "), (comment, value)
+        checked.append(value)
+    assert len(checked) == 8
 
 
 @pytest.mark.parametrize("args", list(_PARSER_PINS))

@@ -138,18 +138,40 @@ def test_terms_negative_start():
         terms(K.cstar, -1)
     with pytest.raises(ValueError, match="unknown kind 'B'"):
         terms("B")  # a name, not a kind
+    with pytest.raises(ValueError, match="undefined index"):
+        term(K.B, -1)
+    with pytest.raises(ValueError, match="unknown kind 'B'"):
+        term("B", 3)
 
 
-@pytest.mark.parametrize("n", [10**4, 20002])
+# n modulo 4 takes every value: both parities of n and of the chain index
+# h = n // 2, so P's (-s2)^h = -1 at odd h too
+@pytest.mark.parametrize("n", [10**4, 10**4 + 1, 10**4 + 2, 10**4 + 3, 20002])
 @pytest.mark.parametrize("kind", [K.B, K.b, K.C, K.c, K.P], ids=lambda k: k.value)
 def test_term_matches_binet_deep(kind, n):
     assert term(kind, n) == term_binet(kind, n)
 
 
+# term reads forms over one half-index chain, terms steps a window: two routes
+@pytest.mark.parametrize("n", [20000, 20001, 20002, 20003])
+@pytest.mark.parametrize("kind", list(sequences._DERIVED), ids=lambda k: k.value)
+def test_derived_term_matches_terms_deep(kind, n):
+    assert term(kind, n) == next(terms(kind, n))
+
+
+def test_term_refuses_an_inexact_value(monkeypatch):
+    # a general term whose value is not an integer raises; it is never floored
+    half = sequences._Form((0, 0, 0, 1, 2))
+    monkeypatch.setitem(sequences._DERIVED, K.Bstar, lambda v, n: 3 * v.B(n) + half)
+    for n in (1, 2, 3001, 3002):
+        with pytest.raises(AssertionError, match="is not an integer"):
+            term(K.Bstar, n)
+
+
 def test_term_retains_nothing():
     term(K.B, 10)
     term(K.cstar, 10)
-    # cs(60000) reads c(30001) and c(30002) from one stepped window
+    # cs(60000) reads c(30002) and c(30001) as forms over one chain at index 15001
     for kind in (K.B, K.cstar):
         tracemalloc.start()
         try:
@@ -171,7 +193,7 @@ def _answer(kind, n):
 def test_term_is_thread_safe():
     rng = random.Random(7)
     queries = [(rng.choice(list(SequenceKind)), rng.randint(0, 3000)) for _ in range(400)]
-    # derived kinds deep enough that membership reads its witness from a stream
+    # derived kinds deep enough that membership proves its root by a norm certificate
     queries += [(kind, rng.randint(12000, 14000)) for kind in (K.Bstarstar, K.bstar) * 4]
     rng.shuffle(queries)
     expected = [_answer(kind, n) for kind, n in queries]
