@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 from .pellsolver import QuadraticForm, solutions
 # term stays a module global: perfbench's tracer wraps it here
-from .sequences import KIND_BY_NAME, term, terms  # noqa: F401
+from .sequences import KIND_BY_NAME, _term, _terms, term  # noqa: F401
 from .verifier import GROUPS, _jsonl, verify, verify_all, verify_group
 
 _FORMATS = ("plain", "jsonl")
@@ -46,20 +46,33 @@ def _write(lines) -> None:
 
 
 def _cmd_gen(args) -> int:
+    """Steps and prints in exact decimal arithmetic, so that no value pays for
+    CPython's int-to-str conversion, which is quadratic in its length."""
     kind = KIND_BY_NAME.get(args.kind)
     if kind is None:
         return _fail("unknown sequence")
     if args.start > args.stop:
         return _fail("empty range")
-    try:
-        values = terms(kind, args.start)
-    except ValueError as exc:
-        return _fail(str(exc))
-    pairs = zip(range(args.start, args.stop + 1), values)
-    if args.format == "jsonl":
-        _write(_jsonl({"command": "gen", "kind": args.kind, "n": n, "value": v}) for n, v in pairs)
-    else:
-        _write(v for _, v in pairs)
+    import decimal  # loaded by gen alone, off the import path
+
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero])
+    with decimal.localcontext(exact):
+        one = decimal.Decimal(1)
+        try:  # one index: term's half-size product; a range: one recurrence step per value
+            values = ([_term(kind, args.start, one)] if args.start == args.stop
+                      else _terms(kind, args.start, one))
+        except ValueError as exc:
+            return _fail(str(exc))
+        # exponent 0 throughout: str writes plain digits, and "0" for a zero of either sign
+        indices = range(args.start, args.stop + 1)
+        pairs = ((n, str(v) if v else "0") for n, v in zip(indices, values))
+        if args.format == "jsonl":  # "value" sorts last: the digits close the object
+            _write(_jsonl({"command": "gen", "kind": args.kind, "n": n})[:-1] + f',"value":{v}}}'
+                   for n, v in pairs)
+        else:
+            _write(v for _, v in pairs)
     return 0
 
 

@@ -170,7 +170,7 @@ def quad_norm(x: QuadInt) -> int:
     return x.norm()
 
 
-def lucas_chain(s1: int, s2: int, n: int) -> tuple[int, int]:
+def lucas_chain(s1: int, s2: int, n: int, one=1) -> tuple:
     """``(U(n), U(n+1))`` of the recurrence ``(s1, s2)`` in O(log n) steps (``n >= 0``).
 
     A Lucas chain of two squarings per bit of ``n``, for ``s1 != 0``: with
@@ -179,8 +179,12 @@ def lucas_chain(s1: int, s2: int, n: int) -> tuple[int, int]:
     ``U(2i) = 2 U(i)U(i+1) - s1 U(i)^2``, where Cassini's identity
     ``U(i+1)^2 - U(i)U(i+2) = Q^i`` gives the cross term exactly:
     ``s1 U(i)U(i+1) = U(i+1)^2 + Q U(i)^2 - Q^i``.
+
+    ``U`` is of the type of ``one``: ``int``, or any exact number type whose
+    ``//`` is exact on exact quotients, such as ``decimal.Decimal`` in a
+    context that traps rounding.
     """
-    u, u1, qi = 0, 1, 1  # U(i), U(i+1), Q^i at i = 0
+    u, u1, qi = one - one, one, 1  # U(i), U(i+1), Q^i at i = 0
     for bit in bin(n)[2:]:
         a, b = u * u, u1 * u1
         u, u1, qi = 2 * (b - s2 * a - qi) // s1 - s1 * a, b + s2 * a, qi * qi

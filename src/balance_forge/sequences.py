@@ -107,8 +107,9 @@ def _affine(kind: SequenceKind):
     return s1, s2, add, k, k * v0 - add, k * v1 - add
 
 
-def _stepped(kind: SequenceKind, n: int, chains: dict):
-    """``v(n), v(n+1), ...`` of a core family: read from one chain, then stepped.
+def _stepped(kind: SequenceKind, n: int, chains: dict, one):
+    """``v(n), v(n+1), ...`` of a core family, of the type of ``one``: read from
+    one chain, then stepped.
 
     ``chains`` keeps the chains run, by recurrence and index, for a stream's
     families.  With ``s2 = -1`` or ``1`` a step is one product by ``s1`` and
@@ -117,7 +118,7 @@ def _stepped(kind: SequenceKind, n: int, chains: dict):
     as its columns fill.
     """
     s1, s2, add, k, z0, z1 = _affine(kind)
-    u, u1 = chains.get((s1, s2, n)) or chains.setdefault((s1, s2, n), lucas_chain(s1, s2, n))
+    u, u1 = chains.get((s1, s2, n)) or chains.setdefault((s1, s2, n), lucas_chain(s1, s2, n, one))
     a, b = ((z1 - s1 * z0) * u + z0 * u1 + add) // k, (z1 * u1 + s2 * z0 * u + add) // k
     if s2 == -1 and not add:  # B, C and c
         while True:
@@ -181,6 +182,11 @@ class _Form(tuple):
 def term(kind: SequenceKind, n: int) -> int:
     """The ``n``-th member of a family (``n >= 0``), in O(log n) steps: a ``_Form`` over one
     chain ``x, y = U(h), U(h+1)``, ``h`` half the first core index read, valued by one product."""
+    return _term(kind, n, 1)
+
+
+def _term(kind: SequenceKind, n: int, one):
+    """``term(kind, n)`` of the type of ``one`` (an ``int`` 3 for ``css(0)``)."""
     if n < 0:
         raise ValueError("undefined index")
     if kind not in _RECURRENCES and kind not in _DERIVED:
@@ -190,7 +196,7 @@ def term(kind: SequenceKind, n: int) -> int:
     def read(core, i):
         s1, s2, add, k, z0, z1 = _affine(core)
         if not chain:
-            chain.extend((s1, s2, i // 2, *lucas_chain(s1, s2, i // 2)))
+            chain.extend((s1, s2, i // 2, *lucas_chain(s1, s2, i // 2, one)))
         u, u1 = (-s1, 2, 0), (s2, 0, 1)  # U(2h) = 2xy - s1 x^2, U(2h+1) = y^2 + s2 x^2
         for _ in range(i - 2 * chain[2]):
             u, u1 = u1, tuple(s1 * b + s2 * a for a, b in zip(u, u1))
@@ -218,13 +224,13 @@ class _Window:
     of the two newest values.
     """
 
-    def __init__(self, kind: SequenceKind, chains: dict):
-        self.kind, self.chains, self.steps = kind, chains, None
+    def __init__(self, kind: SequenceKind, chains: dict, one):
+        self.kind, self.chains, self.one, self.steps = kind, chains, one, None
 
     def __call__(self, n: int) -> int:
         if self.steps is None:  # top: one past the index of the newest kept value
             self.top, self.recent = max(n - 1, 0), deque(maxlen=2)
-            self.steps = _stepped(self.kind, self.top, self.chains)
+            self.steps = _stepped(self.kind, self.top, self.chains, self.one)
         while self.top <= n:
             self.recent.append(next(self.steps))
             self.top += 1
@@ -236,15 +242,20 @@ def terms(kind: SequenceKind, start: int = 0):
 
     Seeded in O(log start) steps, then one recurrence step per index.
     """
+    return _terms(kind, start, 1)
+
+
+def _terms(kind: SequenceKind, start: int, one):
+    """``terms(kind, start)`` of the type of ``one`` (an ``int`` 3 for ``css(0)``)."""
     if start < 0:
         raise ValueError("undefined index")
     if kind in _RECURRENCES:
-        return _stepped(kind, start, {})
+        return _stepped(kind, start, {}, one)
     general = _DERIVED.get(kind)
     if general is None:
         raise ValueError(f"unknown kind {kind!r}")
     chains = {}
-    windows = SimpleNamespace(**{k.value: _Window(k, chains) for k in CORE_KINDS})
+    windows = SimpleNamespace(**{k.value: _Window(k, chains, one) for k in CORE_KINDS})
     return map(partial(general, windows), count(start))
 
 
@@ -335,12 +346,14 @@ def is_member(kind: SequenceKind, x: int) -> tuple[bool, int | None]:
         if not all(squares >> (8 * r * (r + s) + t) % p & 1 for p, squares in _PRIME_SQUARES.items()):
             return False, None
         # a row gains log2(1 + sqrt(2)) < 3179/2500 bits per power and its base
-        # under 1.5 bits: 4j is at most the member's power e, and a few below it
-        u, u1 = lucas_chain(6, -1, (X.bit_length() * 2500 // 3179 - 1) // 4)
+        # under 1.5 bits: 8j is at most the member's power e, and a few below it
+        u, u1 = lucas_chain(6, -1, (X.bit_length() * 2500 // 3179 - 1) // 8)
         p, q = u1 - 3 * u, 2 * u  # C(j) + 2B(j)*sqrt(2) = (1 + sqrt(2))**2j, if the chain is right
         pp, qq = p * p, q * q
-        if pp - 2 * qq == 1:  # then its square has norm 1, whatever the chain returned
-            P, Q = pp + 2 * qq, (v := p + q) * v - pp - qq
+        if pp - 2 * qq == 1:  # then its square p + q*sqrt(2) has norm 1, whatever the chain was
+            p, q = pp + 2 * qq, (v := p + q) * v - pp - qq
+            qq = q * q  # squared again, with p^2 = 2q^2 + 1: two half-size squarings
+            P, Q = 4 * qq + 1, (v := p + q) * v - 3 * qq - 1
             for g, h in bases:
                 a, c, norm = g * P + 2 * h * Q, g * Q + h * P, g * g - 2 * h * h
                 while 0 < c < X:  # times 1 + sqrt(2), by two additions

@@ -95,6 +95,42 @@ def test_gen_jsonl_round_trip(capsys):
     }
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+# (start, stop): ranges from 0 and from 1 (c(0) = -1, b(0) = b(1) = 0), offset
+# ranges, and single indices, which take term's route
+GEN_RANGES = [(0, 60), (1, 60), (777, 790), (9990, 10001),
+              *((n, n) for n in (0, 1, 2, 3, 9997, 9998, 9999, 10000))]
+
+
+@pytest.mark.parametrize("name", list(sequences.KIND_BY_NAME))
+def test_gen_prints_the_digits_of_the_int_values(capsys, monkeypatch, name):
+    # gen steps and prints in decimal arithmetic: every line must be the str of
+    # the int that term returns, with no "-0" and no exponent form
+    monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
+    kind = sequences.KIND_BY_NAME[name]
+    for start, stop in GEN_RANGES:
+        values = [term(kind, n) for n in range(start, stop + 1)]
+        with _no_digit_limit():
+            plain = "".join(f"{v}\n" for v in values)
+            jsonl = "".join(json.dumps({"command": "gen", "kind": name, "n": n, "value": v},
+                                       sort_keys=True, separators=(",", ":")) + "\n"
+                            for n, v in zip(range(start, stop + 1), values))
+        argv = ("gen", name, str(start), str(stop))
+        assert run(capsys, *argv) == (0, plain, ""), (start, stop)
+        assert run(capsys, *argv, "--format", "jsonl") == (0, jsonl, ""), (start, stop)
+
+
 def test_solve_count(capsys):
     code, out, _ = run(capsys, "solve", "8", "0", "-1", "-9", "--count", "3")
     assert code == 0
@@ -171,6 +207,22 @@ def test_well_formed_runs_leave_argparse_unloaded():
                          "teo2.Bstar [1..20] pass"]
     assert lines[11] == "teo2.Cstarstar [1..20] pass"
     assert lines[12].startswith("usage: balance-forge solve [-h]")
+
+
+def test_only_gen_loads_decimal():
+    # gen prints in decimal arithmetic; solve and verify print ints and never pay its import
+    proc = run_script(
+        "import sys\n"
+        "from balance_forge.cli import main\n"
+        "for argv in ('solve 8 0 -1 -9 --count 3', 'solve 2 -4 -2 196 --xbound 2000 --all',\n"
+        "             'verify all --upto 30 --pell-count 5',\n"
+        "             'verify teo2 --upto 20 --format jsonl'):\n"
+        "    assert main(argv.split()) == 0, argv\n"
+        "    assert 'decimal' not in sys.modules, argv\n"
+        "assert main('gen B 0 4'.split()) == 0\n"
+        "assert 'decimal' in sys.modules\n"
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_public_annotations_resolve():
@@ -398,7 +450,8 @@ def test_help_and_usage_errors_survive_parser_reuse(capsys, command):
     assert printed(lambda: main([command, "--help"])) == fresh
 
 
-# each CI smoke line `out=$(... python -m balance_forge ARGS | sha256sum)` and its pin
+# each CI smoke line `out=$(... python -m balance_forge ARGS | sha256sum)` and its pin;
+# the line under `timeout` (gen B 0 20000, 150 MB of digits) runs in CI alone
 _CI_PIN = re.compile(r'out=\$\(PYTHONPATH=src python -m balance_forge ([^|]*?) \| sha256sum\)\n'
                      r'\s*test "\$out" = "([0-9a-f]{64})  -"')
 
@@ -414,7 +467,7 @@ def test_ci_smoke_pins_hold_in_process(capsys, monkeypatch):
     # the workflow file stays the one record of these digests
     monkeypatch.delenv("BALANCE_FORGE_FORMAT", raising=False)
     pins = ci_pins()
-    assert len(pins) == 30
+    assert len(pins) == 31
     for args, digest in pins:
         code, out, _ = run(capsys, *args.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, args

@@ -455,8 +455,8 @@ def square_roots(monkeypatch):
 def chains(monkeypatch):
     """The recurrences ``(s1, s2)`` that ``sequences`` runs a Lucas chain for."""
     calls, real = [], sequences.lucas_chain
-    monkeypatch.setattr(sequences, "lucas_chain",
-                        lambda s1, s2, n: calls.append((s1, s2)) or real(s1, s2, n))
+    monkeypatch.setattr(sequences, "lucas_chain",  # term passes a typed one
+                        lambda s1, s2, n, *one: calls.append((s1, s2)) or real(s1, s2, n, *one))
     return calls
 
 
@@ -596,8 +596,8 @@ def test_certificate_starts_a_few_steps_below_the_row(kind, monkeypatch):
         chained.clear()
         assert is_member(kind, x)[0]
         [j] = chained
-        # the squared chain reads (1 + sqrt(2))**4j, a few steps below the member's row
-        assert 0 <= ORBIT[kind](n)[1] - 4 * j <= 7, n
+        # the chain squared twice reads (1 + sqrt(2))**8j, a few steps below the member's row
+        assert 0 <= ORBIT[kind](n)[1] - 8 * j <= 11, n
 
 
 def _recurrences(families):
